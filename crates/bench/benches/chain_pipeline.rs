@@ -7,8 +7,6 @@
 //! single `Planner::run` draining the executor batch-wise; the planner's
 //! rewrite pass pushes the selection across the alignment extension nodes
 //! into the base scans, so the join aligns only the surviving tuples.
-//! `plan-first-rows` drains the same compiled plan row-at-a-time (the
-//! pre-batch executor path), isolating the vectorization win, and
 //! `plan-first-norw` disables the rewrites to separate barrier removal
 //! from cross-operator optimization.
 //!
@@ -36,7 +34,6 @@ fn bench(c: &mut Criterion) {
         let cap = (n / 10) as i64;
         for mode in [
             ChainMode::Eager,
-            ChainMode::PlanFirstRows,
             ChainMode::PlanFirst,
             ChainMode::PlanFirstNoRewrites,
         ] {

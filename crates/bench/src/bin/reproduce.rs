@@ -46,8 +46,13 @@ fn paper_planner() -> Planner {
 
 fn print_points(title: &str, points: &[Point]) {
     println!("\n=== {title}");
-    println!("runtime [s]:");
-    println!("{}", render_table(points, |p| format!("{:.3}", p.seconds)));
+    // Microseconds, so sub-millisecond series (storage, timeslice) do not
+    // round to zero; the CSV/JSON files keep `seconds`.
+    println!("runtime [µs]:");
+    println!(
+        "{}",
+        render_table(points, |p| format!("{:.1}", p.seconds * 1e6))
+    );
     println!("output tuples:");
     println!("{}", render_table(points, |p| p.output_rows.to_string()));
 }
@@ -377,11 +382,10 @@ fn ablation(full: bool) {
 
 /// The plan-first chain benchmark (not a paper figure): the 3-operator
 /// query ϑᵀ ∘ σᵀ ∘ ⋈ᵀ evaluated eagerly (one `Planner::run` per operator,
-/// materializing between) vs compiled into one `TemporalPlan` — the
-/// compiled plan drained row-at-a-time (`plan-first-rows`, the PR 2 path)
-/// vs batch-wise (`plan-first`, the vectorized executor). Each point is
-/// the best of three runs, so one-off allocator/scheduler noise does not
-/// distort the row-vs-batch ratio the CI smoke step records.
+/// materializing between) vs compiled into one `TemporalPlan`, with
+/// (`plan-first`) and without (`plan-first-norw`) the rewrite pass. Each
+/// point is the best of three runs, so one-off allocator/scheduler noise
+/// does not distort the ratios the CI smoke step records.
 fn chain(full: bool) {
     let sizes: &[usize] = if full {
         &[2_000, 4_000, 8_000, 16_000]
@@ -396,7 +400,6 @@ fn chain(full: bool) {
         let cap = (n / 10) as i64;
         for mode in [
             ChainMode::Eager,
-            ChainMode::PlanFirstRows,
             ChainMode::PlanFirst,
             ChainMode::PlanFirstNoRewrites,
         ] {
@@ -413,7 +416,7 @@ fn chain(full: bool) {
         }
     }
     print_points(
-        "Chain (plan-first): ϑᵀ_{pcn} ∘ σᵀ_{ssn<n/10} ∘ ⋈ᵀ_{pcn} on Incumben — rows vs batches",
+        "Chain (plan-first): ϑᵀ_{pcn} ∘ σᵀ_{ssn<n/10} ∘ ⋈ᵀ_{pcn} on Incumben — eager vs plan-first",
         &points,
     );
     save("chain_pipeline", &points);
@@ -486,22 +489,28 @@ fn storage(full: bool) {
         let (r, _) = drand(n, 7);
         // A full-table scan with a selective filter: the work is page
         // fetch + tuple decode (paged) vs row-clone (in-memory), without
-        // result materialization dominating either series.
-        let scan_len = |db: &Database| {
-            db.table("r")
+        // result materialization dominating either series. `te - ts < 5`
+        // keeps the ~1% of drand's 1..=400-long intervals that are
+        // shortest, and neither zone maps nor the interval index can prune
+        // on it, so every page is read. Returns (rows, pages read).
+        let scan = |db: &Database| {
+            let frame = db
+                .table("r")
                 .unwrap()
-                .filter(col("id").lt(lit(0i64)))
-                .collect()
-                .expect("scan")
-                .len()
+                .filter(col("te").sub(col("ts")).lt(lit(5i64)));
+            let physical = db.physical(frame.plan().expect("plan")).expect("physical");
+            let state = ExecutionState::new(db.config());
+            let rows = physical.collect(&state).expect("scan").len();
+            (rows, state.stats.pages().0)
         };
 
         let mem = Database::new();
         mem.register("r", &r).expect("register in-memory");
-        let (dt, rows) = (0..3)
-            .map(|_| time(|| scan_len(&mem)))
+        let (dt, (rows, _)) = (0..3)
+            .map(|_| time(|| scan(&mem)))
             .min_by(|a, b| a.0.cmp(&b.0))
             .expect("three runs");
+        assert!(rows > 0, "benchmark invariant: the filter must keep rows");
         points.push(Point {
             series: "in-memory".into(),
             n,
@@ -519,10 +528,15 @@ fn storage(full: bool) {
             pages as usize > POOL,
             "benchmark invariant: table ({pages} pages) must exceed the {POOL}-frame pool"
         );
-        let (dt, rows) = (0..3)
-            .map(|_| time(|| scan_len(&db)))
+        let (dt, (rows, pages_read)) = (0..3)
+            .map(|_| time(|| scan(&db)))
             .min_by(|a, b| a.0.cmp(&b.0))
             .expect("three runs");
+        assert!(rows > 0, "benchmark invariant: the filter must keep rows");
+        assert_eq!(
+            pages_read, pages as u64,
+            "benchmark invariant: the paged scan must read every page"
+        );
         points.push(Point {
             series: format!("paged(pool={POOL})"),
             n,

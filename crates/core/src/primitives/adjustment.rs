@@ -15,11 +15,12 @@
 //! 3. a **sort** that partitions by the complete `r` tuple and orders each
 //!    group by `(P1, P2)` (Fig. 9);
 //! 4. the **plane sweep** over each sorted group ([`AdjustmentExec`]),
-//!    which emits one tuple per `next()` call, fully pipelined.
+//!    fully pipelined: each pull sweeps on until a batch of adjusted
+//!    tuples is ready.
 
 use std::sync::Arc;
 
-use temporal_engine::batch::{RowBatch, BATCH_SIZE};
+use temporal_engine::batch::{next_chunk, RowBatch, BATCH_SIZE};
 use temporal_engine::exec::{ExecNode, ExecutionState};
 use temporal_engine::plan::{CostModel, ExtensionNode, PlanStats};
 use temporal_engine::prelude::*;
@@ -362,11 +363,10 @@ impl ExtensionNode for AdjustmentNode {
 }
 
 /// The paper's `ExecAdjustment` (Fig. 10): a pipelined plane sweep over
-/// groups of join tuples. Each invocation returns a single result tuple or
-/// `None` at the end — integrated into the Volcano pipeline exactly like
-/// the PostgreSQL original. The batch protocol is also supported: one
-/// `next_batch()` call sweeps whole sorted groups, pulling the input a
-/// batch at a time and emitting a batch of adjusted tuples.
+/// groups of join tuples. Where the PostgreSQL original returns a single
+/// result tuple per invocation, each `next_batch()` call runs the same
+/// sweep on until a batch of adjusted tuples is ready (or the input ends),
+/// pulling its input a batch at a time.
 pub struct AdjustmentExec {
     input: BoxedExec,
     schema: Schema,
@@ -387,9 +387,7 @@ pub struct AdjustmentExec {
     /// Last produced tuple — consecutive duplicate suppression (the
     /// `out ≠ (curr.A, curr.P1, curr.P2)` test of Fig. 10).
     last_out: Option<Row>,
-    /// Batch-mode input buffer: set once the node is driven through
-    /// `next_batch()`, refilled a batch at a time.
-    batched: bool,
+    /// Input buffer, refilled a batch at a time.
     inbuf: std::collections::VecDeque<Row>,
     input_done: bool,
     /// May this node split its input into data-run partitions and sweep
@@ -422,7 +420,6 @@ impl AdjustmentExec {
             sameleft: true,
             sweepline: 0,
             last_out: None,
-            batched: false,
             inbuf: std::collections::VecDeque::new(),
             input_done: false,
             allow_parallel: true,
@@ -438,14 +435,14 @@ impl AdjustmentExec {
     /// partition. Falls back to the serial machinery (input pre-buffered)
     /// when the input is too small or collapses into one run.
     fn try_parallel(&mut self, state: &ExecutionState) -> EngineResult<()> {
-        use super::parallel::{data_partition_ranges, RowsExec};
+        use super::parallel::data_partition_ranges;
         use temporal_engine::exec::workers::par_run;
+        use temporal_engine::exec::{collect_rows, ValuesExec};
         self.allow_parallel = false;
         let in_schema = self.input.schema().clone();
-        let rows = temporal_engine::exec::collect_rows_batched(self.input.as_mut(), state)?;
+        let rows = collect_rows(self.input.as_mut(), state)?;
         let ranges = data_partition_ranges(&rows, self.ts_idx, state.threads());
         if !state.parallel(rows.len()) || ranges.len() <= 1 {
-            self.batched = true;
             self.inbuf = rows.into();
             self.input_done = true;
             return Ok(());
@@ -454,12 +451,12 @@ impl AdjustmentExec {
         let chunks = par_run(state.threads(), ranges.len(), |i| {
             let (a, b) = ranges[i];
             let mut sub = AdjustmentExec::new(
-                Box::new(RowsExec::new(in_schema.clone(), rows[a..b].to_vec())),
+                Box::new(ValuesExec::new(in_schema.clone(), rows[a..b].to_vec())),
                 schema.clone(),
                 mode,
             );
             sub.allow_parallel = false;
-            temporal_engine::exec::collect_rows_batched(&mut sub, state)
+            collect_rows(&mut sub, state)
         })?;
         state.note_partitions(ranges.len());
         self.started = true;
@@ -477,13 +474,9 @@ impl AdjustmentExec {
         Row::new(vals)
     }
 
-    /// Pull the next input tuple through whichever protocol this node is
-    /// being driven with: direct `next()` in row mode, the refilled batch
-    /// buffer in batch mode.
+    /// Pull the next input tuple from the batch buffer, refilling it from
+    /// the input a batch at a time.
     fn fetch_input(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if !self.batched {
-            return self.input.next(state);
-        }
         loop {
             if let Some(row) = self.inbuf.pop_front() {
                 return Ok(Some(row));
@@ -497,17 +490,24 @@ impl AdjustmentExec {
             }
         }
     }
+}
 
-    /// One step of the plane sweep of Fig. 10: produce the next adjusted
-    /// tuple, or `None` when the input is exhausted.
-    ///
-    /// NOTE: [`ExecNode::next_batch`] below carries an unrolled copy of
-    /// this state machine (same branches, clones turned into moves) — it
-    /// is deliberately *not* shared, so the row path stays the unmodified
-    /// baseline the batch speedups are measured against. Any change to the
-    /// sweep rules must be mirrored there; `tests/batch_differential.rs`
-    /// pins the two row-for-row.
-    fn step(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
+impl ExecNode for AdjustmentExec {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// The plane sweep of Fig. 10, run over whole sorted groups per call:
+    /// the sweep state (`prev`, `curr`, `sameleft`, `sweepline`,
+    /// `last_out`) persists across calls, and the loop emits into a buffer
+    /// until a batch of adjusted tuples is ready or the input ends.
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
+        if self.allow_parallel && !self.started && state.threads() > 1 {
+            self.try_parallel(state)?;
+        }
+        if let Some(it) = &mut self.outbuf {
+            return Ok(next_chunk(&self.schema, it));
+        }
         if !self.started {
             self.started = true;
             self.curr = self.fetch_input(state)?;
@@ -517,24 +517,28 @@ impl AdjustmentExec {
                 self.sweepline = c[self.ts_idx].expect_int("adjustment ts")?;
             }
         }
-        loop {
-            let Some(prev_row) = self.prev.clone() else {
-                return Ok(None); // prev = ω: input exhausted
-            };
+        let mut out: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
+        while out.len() < BATCH_SIZE {
+            if self.prev.is_none() {
+                break; // prev = ω: input exhausted
+            }
             if self.sameleft {
                 let curr_row = self
                     .curr
-                    .clone()
+                    .take()
                     .expect("sameleft group has a current tuple");
                 let p1 = curr_row[self.p1_idx].as_int();
                 if let Some(p1v) = p1 {
                     if self.sweepline < p1v {
                         // Fig. 10, first block: emit the uncovered piece
-                        // [sweepline, P1) and advance the sweep line.
-                        let out = self.make_out(&curr_row, self.sweepline, p1v);
+                        // [sweepline, P1), advance the sweep line and
+                        // revisit the same tuple.
+                        let o = self.make_out(&curr_row, self.sweepline, p1v);
                         self.sweepline = p1v;
-                        self.last_out = Some(out.clone());
-                        return Ok(Some(out));
+                        self.last_out = Some(o.clone());
+                        out.push(o);
+                        self.curr = Some(curr_row);
+                        continue;
                     }
                 }
                 // Fig. 10, second block (also entered when P1 is ω, i.e.
@@ -561,119 +565,8 @@ impl AdjustmentExec {
                     }
                     AdjustMode::Normalize => {}
                 }
-                let next = self.fetch_input(state)?;
-                self.sameleft = match &next {
-                    Some(n) => n.values()[..self.r_width] == curr_row.values()[..self.r_width],
-                    None => false,
-                };
-                self.prev = Some(curr_row);
-                self.curr = next;
-                if let Some(out) = produced {
-                    self.last_out = Some(out.clone());
-                    return Ok(Some(out));
-                }
-            } else {
-                // Fig. 10, third block: the group ended — emit the tail of
-                // the r tuple's timestamp if uncovered, then reset for the
-                // next group.
-                let prev_te = prev_row[self.te_idx].expect_int("adjustment te")?;
-                let produced = (self.sweepline < prev_te)
-                    .then(|| self.make_out(&prev_row, self.sweepline, prev_te));
-                self.prev = self.curr.clone();
-                if let Some(c) = &self.curr {
-                    self.sweepline = c[self.ts_idx].expect_int("adjustment ts")?;
-                }
-                self.sameleft = true;
-                if let Some(out) = produced {
-                    self.last_out = Some(out.clone());
-                    return Ok(Some(out));
-                }
-            }
-        }
-    }
-}
-
-impl ExecNode for AdjustmentExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        self.step(state)
-    }
-
-    /// Batch path: sweep whole sorted groups per call — the input is
-    /// pulled batch-wise and up to a batch of adjusted tuples is produced
-    /// without returning through the parent pipeline. This is the re-entrant
-    /// sweep step unrolled into a tight loop that emits into a buffer: the
-    /// sweep advances identically (same branches, same emissions — the
-    /// differential tests drive both), but the per-tuple `Option<Row>`
-    /// clones of the re-entrant formulation are replaced by moves.
-    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.batched = true;
-        if self.allow_parallel && !self.started && state.threads() > 1 {
-            self.try_parallel(state)?;
-        }
-        if let Some(it) = &mut self.outbuf {
-            let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-            if chunk.is_empty() {
-                return Ok(None);
-            }
-            return Ok(Some(RowBatch::new(self.schema.clone(), chunk)));
-        }
-        if !self.started {
-            self.started = true;
-            self.curr = self.fetch_input(state)?;
-            self.prev = self.curr.clone();
-            self.sameleft = true;
-            if let Some(c) = &self.curr {
-                self.sweepline = c[self.ts_idx].expect_int("adjustment ts")?;
-            }
-        }
-        let mut out: Vec<Row> = Vec::with_capacity(BATCH_SIZE);
-        while out.len() < BATCH_SIZE {
-            if self.prev.is_none() {
-                break; // prev = ω: input exhausted
-            }
-            if self.sameleft {
-                let curr_row = self
-                    .curr
-                    .take()
-                    .expect("sameleft group has a current tuple");
-                let p1 = curr_row[self.p1_idx].as_int();
-                if let Some(p1v) = p1 {
-                    if self.sweepline < p1v {
-                        // Emit the uncovered piece [sweepline, P1) and
-                        // revisit the same tuple.
-                        let o = self.make_out(&curr_row, self.sweepline, p1v);
-                        self.sweepline = p1v;
-                        self.last_out = Some(o.clone());
-                        out.push(o);
-                        self.curr = Some(curr_row);
-                        continue;
-                    }
-                }
-                let mut produced: Option<Row> = None;
-                match self.mode {
-                    AdjustMode::Align => {
-                        if let (Some(p1v), Some(p2v)) = (p1, curr_row[self.p2_idx].as_int()) {
-                            let candidate = self.make_out(&curr_row, p1v, p2v);
-                            if self.last_out.as_ref() != Some(&candidate) {
-                                self.sweepline = self.sweepline.max(p2v);
-                                produced = Some(candidate);
-                            }
-                        }
-                    }
-                    AdjustMode::GapsOnly => {
-                        if let Some(p2v) = curr_row[self.p2_idx].as_int() {
-                            self.sweepline = self.sweepline.max(p2v);
-                        }
-                    }
-                    AdjustMode::Normalize => {}
-                }
                 // On an input error, put the taken tuple back so the node
-                // stays re-entrant (the row path clones instead of taking
-                // and re-errors cleanly on the next poll).
+                // stays re-entrant and re-errors cleanly on the next poll.
                 let next = match self.fetch_input(state) {
                     Ok(n) => n,
                     Err(e) => {
@@ -692,8 +585,9 @@ impl ExecNode for AdjustmentExec {
                     out.push(o);
                 }
             } else {
-                // Group ended: emit the tail of the r tuple's timestamp if
-                // uncovered, then reset for the next group.
+                // Fig. 10, third block: the group ended — emit the tail of
+                // the r tuple's timestamp if uncovered, then reset for the
+                // next group.
                 let prev_row = self.prev.as_ref().expect("checked above");
                 let prev_te = prev_row[self.te_idx].expect_int("adjustment te")?;
                 let produced = (self.sweepline < prev_te)
@@ -873,10 +767,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_reerrors_cleanly_after_input_error() {
-        // An input that yields one tuple, then fails: both protocols must
-        // surface the error on every poll (no panic on re-poll — the batch
-        // path puts the taken tuple back before propagating).
+    fn sweep_reerrors_cleanly_after_input_error() {
+        // An input that yields one tuple, then fails: the sweep must
+        // surface the error on every poll (no panic on re-poll — it puts
+        // the taken tuple back before propagating).
         struct FailingInput {
             schema: Schema,
             emitted: bool,
@@ -895,14 +789,6 @@ mod tests {
         impl ExecNode for FailingInput {
             fn schema(&self) -> &Schema {
                 &self.schema
-            }
-            fn next(&mut self, _state: &ExecutionState) -> EngineResult<Option<Row>> {
-                if !self.emitted {
-                    self.emitted = true;
-                    Ok(Some(Self::row()))
-                } else {
-                    Err(EngineError::Internal("input failed".into()))
-                }
             }
             // Deliver the tuple as a whole batch so the failure arrives on
             // the *second* pull — mid-group, after the sweep has taken its
@@ -948,9 +834,6 @@ mod tests {
         let state = ExecutionState::default();
         assert!(exec.next_batch(&state).is_err());
         assert!(exec.next_batch(&state).is_err(), "re-poll must re-error");
-        let mut exec = mk(&out_schema);
-        assert!(exec.next(&state).is_err());
-        assert!(exec.next(&state).is_err(), "row path re-poll must re-error");
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! Row batches: the unit of vectorized execution.
 //!
-//! The Volcano protocol ([`crate::exec::ExecNode::next`]) moves one row per
-//! virtual call; once whole temporal queries compile into a single deep
-//! pipeline, that per-tuple dispatch dominates the hot loops. A
-//! [`RowBatch`] amortizes it: operators exchange chunks of ~[`BATCH_SIZE`]
-//! rows, and expression evaluation ([`crate::expr::Expr::eval_batch`]) runs
-//! over a whole chunk in tight loops. Batches are row-major (`Vec<Row>`),
-//! so the row-at-a-time path and the batch path share storage and can be
-//! compared row for row; column accessors round out the API for consumers
-//! that want column-wise views (e.g. extracting endpoint vectors).
+//! A tuple-at-a-time Volcano protocol pays one virtual call per row; once
+//! whole temporal queries compile into a single deep pipeline, that
+//! per-tuple dispatch dominates the hot loops. A [`RowBatch`] amortizes
+//! it: operators exchange chunks of ~[`BATCH_SIZE`] rows, and expression
+//! evaluation ([`crate::expr::Expr::eval_batch`]) runs over a whole chunk
+//! in tight loops. Batches are row-major (`Vec<Row>`); column accessors
+//! round out the API for consumers that want column-wise views (e.g.
+//! extracting endpoint vectors).
 
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -88,6 +87,15 @@ impl RowBatch {
     }
 }
 
+/// The next batch of a materialized row stream: up to [`BATCH_SIZE`] rows
+/// taken from `rows`, or `None` once it is exhausted. Blocking operators
+/// (sort, aggregate, set ops, buffered joins, the temporal sweeps) compute
+/// their output into a `Vec<Row>` and emit it through this.
+pub fn next_chunk(schema: &Schema, rows: &mut std::vec::IntoIter<Row>) -> Option<RowBatch> {
+    let chunk: Vec<Row> = rows.by_ref().take(BATCH_SIZE).collect();
+    (!chunk.is_empty()).then(|| RowBatch::new(schema.clone(), chunk))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,5 +126,17 @@ mod tests {
         let (schema, rows) = b.into_parts();
         assert_eq!(schema.len(), 2);
         assert_eq!(rows.len(), 2);
+    }
+
+    #[test]
+    fn next_chunk_splits_at_batch_size() {
+        let schema = batch().schema().clone();
+        let rows: Vec<Row> = (0..BATCH_SIZE as i64 + 1)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Int(i)]))
+            .collect();
+        let mut it = rows.into_iter();
+        assert_eq!(next_chunk(&schema, &mut it).unwrap().len(), BATCH_SIZE);
+        assert_eq!(next_chunk(&schema, &mut it).unwrap().len(), 1);
+        assert!(next_chunk(&schema, &mut it).is_none());
     }
 }

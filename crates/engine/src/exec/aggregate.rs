@@ -4,9 +4,9 @@
 //! Grouping equality is structural (NULL groups with NULL), matching the
 //! paper's set semantics where ω values group together.
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{next_chunk, RowBatch};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{collect_rows, collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::{AggCall, AggFunc, Expr};
 use crate::hashing::FxHashMap;
 use crate::schema::Schema;
@@ -168,7 +168,7 @@ pub fn aggregate_rows(rows: &[Row], group: &[Expr], aggs: &[AggCall]) -> EngineR
         .collect())
 }
 
-/// Hash-based grouped aggregation. Materializes on first `next()` and emits
+/// Hash-based grouped aggregation. Materializes on the first pull and emits
 /// groups in first-seen input order (deterministic).
 pub struct HashAggregateExec {
     input: BoxedExec,
@@ -190,12 +190,8 @@ impl HashAggregateExec {
         }
     }
 
-    fn compute(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<Vec<Row>> {
-        let rows = if batched {
-            collect_rows_batched(self.input.as_mut(), state)?
-        } else {
-            collect_rows(self.input.as_mut(), state)?
-        };
+    fn compute(&mut self, state: &ExecutionState) -> EngineResult<Vec<Row>> {
+        let rows = collect_rows(self.input.as_mut(), state)?;
         aggregate_rows(&rows, &self.group, &self.aggs)
     }
 }
@@ -205,27 +201,16 @@ impl ExecNode for HashAggregateExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.out.is_none() {
-            let rows = self.compute(state, false)?;
-            self.out = Some(rows.into_iter());
-        }
-        Ok(self.out.as_mut().expect("initialized").next())
-    }
-
-    /// Batch path: drain the input batch-wise, then emit the groups a
-    /// chunk at a time (group order is first-seen input order either way).
+    /// Drain the input, then emit the groups a chunk at a time.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let rows = self.compute(state, true)?;
+            let rows = self.compute(state)?;
             self.out = Some(rows.into_iter());
         }
-        let it = self.out.as_mut().expect("initialized");
-        let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.schema.clone(), chunk)))
+        Ok(next_chunk(
+            &self.schema,
+            self.out.as_mut().expect("initialized"),
+        ))
     }
 }
 

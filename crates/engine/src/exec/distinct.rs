@@ -1,5 +1,6 @@
 //! Duplicate elimination (set semantics), streaming.
 
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::hashing::FxHashSet;
@@ -27,10 +28,14 @@ impl ExecNode for DistinctExec {
         self.input.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        while let Some(row) = self.input.next(state)? {
-            if self.seen.insert(row.clone()) {
-                return Ok(Some(row));
+    /// Keeps each batch's first occurrences; loops past batches that hold
+    /// only duplicates — `Some` batches are never empty.
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
+        while let Some(batch) = self.input.next_batch(state)? {
+            let (schema, mut rows) = batch.into_parts();
+            rows.retain(|row| self.seen.insert(row.clone()));
+            if !rows.is_empty() {
+                return Ok(Some(RowBatch::new(schema, rows)));
             }
         }
         Ok(None)

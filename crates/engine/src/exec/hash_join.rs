@@ -4,7 +4,18 @@
 //! joins always expose hashable keys — the mechanism behind the paper's
 //! fast Fig. 15d results.
 //!
-//! Under a parallel [`ExecutionState`] the batch path partitions both
+//! With no keys every build row is a candidate for every probe row, which
+//! is exactly a nested-loop join over the residual: the planner runs
+//! `PhysicalPlan::NestedLoopJoin` (the fallback for arbitrary θ, and the
+//! reason the paper's `sql` baseline degenerates on `Ddisj`/`Drand`,
+//! Sec. 7.4) through this operator with an empty key list.
+//!
+//! A serial pull probes left rows only until the output reaches
+//! `BATCH_SIZE`, keeping the rest of the left batch for the next pull, so
+//! one call emits at most a batch plus one probe row's matches and LIMIT
+//! over a cross or θ join never builds the quadratic output.
+//!
+//! Under a parallel [`ExecutionState`] a keyed join partitions both
 //! sides: the build table is assembled from per-worker hash shards
 //! (disjoint key ranges, merged without overlap), and the probe input is
 //! split into contiguous morsels probed on workers against the shared
@@ -17,7 +28,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{next_chunk, RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
 use crate::exec::workers::{par_run, split_ranges};
 use crate::exec::{BoxedExec, ExecNode, ExecutionState};
@@ -29,14 +40,18 @@ use crate::tuple::Row;
 use crate::value::Value;
 
 enum Phase {
-    Probe,
+    /// Probing left batches: the partly probed batch and its next row.
+    Probe(Option<(RowBatch, usize)>),
     /// Morsel-parallel probe output, drained a batch at a time.
     Buffered(std::vec::IntoIter<Row>),
     BuildUnmatched(usize),
     Done,
 }
 
-/// Hash join. Builds on the right input, probes with the left.
+/// Hash join. Builds on the right input, probes with the left. Output
+/// order: each probe row's matches in build order (then its NULL-padded
+/// row for Left/Full), probe rows in input order, then the unmatched build
+/// rows in build order for Right/Full.
 pub struct HashJoinExec {
     left: BoxedExec,
     right: Option<BoxedExec>,
@@ -54,11 +69,6 @@ pub struct HashJoinExec {
     build_rows: Vec<Row>,
     build_matched: Vec<AtomicBool>,
     built: bool,
-
-    cur_left: Option<Row>,
-    cur_cands: Vec<usize>,
-    cand_pos: usize,
-    cur_left_matched: bool,
     phase: Phase,
 }
 
@@ -101,25 +111,17 @@ impl HashJoinExec {
             build_rows: Vec::new(),
             build_matched: Vec::new(),
             built: false,
-            cur_left: None,
-            cur_cands: Vec::new(),
-            cand_pos: 0,
-            cur_left_matched: false,
-            phase: Phase::Probe,
+            phase: Phase::Probe(None),
         }
     }
 
-    fn build(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<()> {
+    fn build(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if self.built {
             return Ok(());
         }
         let mut right = self.right.take().expect("build called once");
-        let rows = if batched {
-            crate::exec::collect_rows_batched(right.as_mut(), state)?
-        } else {
-            crate::exec::collect_rows(right.as_mut(), state)?
-        };
-        if batched && state.parallel(rows.len()) {
+        let rows = crate::exec::collect_rows(right.as_mut(), state)?;
+        if state.parallel(rows.len()) {
             self.build_parallel(state, &rows)?;
         } else {
             for (idx, row) in rows.iter().enumerate() {
@@ -194,10 +196,12 @@ impl HashJoinExec {
         Ok(())
     }
 
-    fn residual_ok(&self, combined: &Row) -> EngineResult<bool> {
-        match &self.residual {
-            None => Ok(true),
-            Some(e) => e.eval_pred(combined.values()),
+    /// The phase once the probe input is exhausted.
+    fn after_probe(&self) -> Phase {
+        if self.join_type.emits_right_unmatched() {
+            Phase::BuildUnmatched(0)
+        } else {
+            Phase::Done
         }
     }
 
@@ -236,7 +240,14 @@ impl ProbeSide<'_> {
     /// evaluated over the *pair* of rows, so the combined row is only
     /// materialized for candidates that actually join — late
     /// materialization, the batch path's main win on high-fanout probes.
-    fn probe(&self, lrows: &[Row], left_width: usize) -> EngineResult<Vec<Row>> {
+    /// Stops before the first row probed once the output holds `limit`
+    /// rows; returns the output and how many left rows it probed.
+    fn probe(
+        &self,
+        lrows: &[Row],
+        left_width: usize,
+        limit: usize,
+    ) -> EngineResult<(Vec<Row>, usize)> {
         let compiled = self.residual.map(|e| (CompiledPred::compile(e), e));
         let mut out: Vec<Row> = Vec::new();
         let mut key: Vec<Value> = Vec::with_capacity(self.keys.len());
@@ -244,7 +255,10 @@ impl ProbeSide<'_> {
         // build indices and their materialized combined rows.
         let mut cand_idx: Vec<usize> = Vec::new();
         let mut combined: Vec<Row> = Vec::new();
-        for l in lrows {
+        for (probed, l) in lrows.iter().enumerate() {
+            if out.len() >= limit {
+                return Ok((out, probed));
+            }
             key.clear();
             key.extend(self.keys.iter().map(|&(lk, _)| l[lk].clone()));
             let cands: &[usize] = if key.iter().any(Value::is_null) {
@@ -277,11 +291,11 @@ impl ProbeSide<'_> {
                     }
                 }
                 Some((None, e)) if matches!(self.join_type, JoinType::Semi | JoinType::Anti) => {
-                    // Semi/Anti stop at the first passing candidate; the
-                    // row path therefore never evaluates the residual past
-                    // it (nor its errors). Evaluate candidate-by-candidate
-                    // to match — batching buys nothing here anyway (at
-                    // most one output row per probe row).
+                    // Semi/Anti stop at the first passing candidate and
+                    // never evaluate the residual past it (nor its
+                    // errors), so evaluate candidate-by-candidate —
+                    // batching buys nothing here anyway (at most one
+                    // output row per probe row).
                     for &bi in cands {
                         let c = l.concat(&self.build_rows[bi]);
                         if !e.eval_pred(c.values())? {
@@ -297,8 +311,7 @@ impl ProbeSide<'_> {
                 }
                 Some((None, e)) => {
                     // General residual: materialize this row's candidates
-                    // and evaluate the predicate vectorized over them (the
-                    // row path also evaluates every candidate here).
+                    // and evaluate the predicate vectorized over them.
                     cand_idx.clear();
                     cand_idx.extend_from_slice(cands);
                     combined.clear();
@@ -343,7 +356,7 @@ impl ProbeSide<'_> {
                 }
             }
         }
-        Ok(out)
+        Ok((out, lrows.len()))
     }
 }
 
@@ -352,110 +365,21 @@ impl ExecNode for HashJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        self.build(state, false)?;
-        loop {
-            match self.phase {
-                Phase::Done => return Ok(None),
-                Phase::Buffered(_) => unreachable!("row path never buffers"),
-                Phase::BuildUnmatched(ref mut i) => {
-                    while *i < self.build_rows.len() {
-                        let idx = *i;
-                        *i += 1;
-                        if !self.build_matched[idx].load(Ordering::Relaxed) {
-                            return Ok(Some(self.build_rows[idx].nulls_concat(self.left_width)));
-                        }
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Probe => {
-                    if self.cur_left.is_none() {
-                        match self.left.next(state)? {
-                            Some(l) => {
-                                let key: Vec<Value> =
-                                    self.keys.iter().map(|&(lk, _)| l[lk].clone()).collect();
-                                self.cur_cands = if key.iter().any(Value::is_null) {
-                                    Vec::new()
-                                } else {
-                                    self.table.get(&key).cloned().unwrap_or_default()
-                                };
-                                self.cand_pos = 0;
-                                self.cur_left_matched = false;
-                                self.cur_left = Some(l);
-                            }
-                            None => {
-                                self.phase = if self.join_type.emits_right_unmatched() {
-                                    Phase::BuildUnmatched(0)
-                                } else {
-                                    Phase::Done
-                                };
-                                continue;
-                            }
-                        }
-                    }
-                    let left_row = self.cur_left.as_ref().expect("set above").clone();
-                    let mut anti_matched = false;
-                    while self.cand_pos < self.cur_cands.len() {
-                        let idx = self.cur_cands[self.cand_pos];
-                        self.cand_pos += 1;
-                        let combined = left_row.concat(&self.build_rows[idx]);
-                        if self.residual_ok(&combined)? {
-                            self.cur_left_matched = true;
-                            self.build_matched[idx].store(true, Ordering::Relaxed);
-                            match self.join_type {
-                                JoinType::Inner
-                                | JoinType::Left
-                                | JoinType::Right
-                                | JoinType::Full => return Ok(Some(combined)),
-                                JoinType::Semi => {
-                                    self.cur_left = None;
-                                    return Ok(Some(left_row));
-                                }
-                                JoinType::Anti => {
-                                    anti_matched = true;
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    let matched = self.cur_left_matched || anti_matched;
-                    self.cur_left = None;
-                    if !matched {
-                        match self.join_type {
-                            JoinType::Left | JoinType::Full => {
-                                return Ok(Some(left_row.concat_nulls(self.right_width)))
-                            }
-                            JoinType::Anti => return Ok(Some(left_row)),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batch path: probe a whole left batch per call (serial), or — under
-    /// a parallel state — drain the left side once and probe contiguous
-    /// morsels on workers, then emit the buffered output a batch at a
-    /// time. Candidate lists are read in place (no per-row clone), and the
-    /// residual predicate is evaluated once, vectorized, over every
-    /// candidate of a batch.
+    /// Probe left rows until a batch of output is ready (serial), or —
+    /// a keyed join under a parallel state — drain the left side once and
+    /// probe contiguous morsels on workers, then emit the buffered output
+    /// a batch at a time. A keyless join always probes serially: its
+    /// buffered output would be the whole quadratic product.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.build(state, true)?;
+        self.build(state)?;
         loop {
             match self.phase {
                 Phase::Done => return Ok(None),
                 Phase::Buffered(ref mut it) => {
-                    let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-                    if chunk.is_empty() {
-                        self.phase = if self.join_type.emits_right_unmatched() {
-                            Phase::BuildUnmatched(0)
-                        } else {
-                            Phase::Done
-                        };
-                        continue;
+                    if let Some(batch) = next_chunk(&self.schema, it) {
+                        return Ok(Some(batch));
                     }
-                    return Ok(Some(RowBatch::new(self.schema.clone(), chunk)));
+                    self.phase = self.after_probe();
                 }
                 Phase::BuildUnmatched(ref mut i) => {
                     let mut out = Vec::new();
@@ -474,11 +398,11 @@ impl ExecNode for HashJoinExec {
                         return Ok(Some(RowBatch::new(self.schema.clone(), out)));
                     }
                 }
-                Phase::Probe if state.threads() > 1 => {
+                Phase::Probe(None) if state.threads() > 1 && !self.keys.is_empty() => {
                     // Morsel-parallel probe: materialize the probe input,
                     // split it into contiguous morsels, probe them on
                     // workers and concatenate in morsel order.
-                    let lrows = crate::exec::collect_rows_batched(self.left.as_mut(), state)?;
+                    let lrows = crate::exec::collect_rows(self.left.as_mut(), state)?;
                     let out = if state.parallel(lrows.len()) {
                         let threads = state.threads();
                         let ranges = split_ranges(lrows.len(), threads);
@@ -486,25 +410,36 @@ impl ExecNode for HashJoinExec {
                         let left_width = self.left_width;
                         let chunks = par_run(threads, ranges.len(), |i| {
                             let (a, b) = ranges[i];
-                            side.probe(&lrows[a..b], left_width)
+                            Ok(side.probe(&lrows[a..b], left_width, usize::MAX)?.0)
                         })?;
                         state.note_partitions(ranges.len());
                         chunks.concat()
                     } else {
-                        self.probe_side().probe(&lrows, self.left_width)?
+                        self.probe_side()
+                            .probe(&lrows, self.left_width, usize::MAX)?
+                            .0
                     };
                     self.phase = Phase::Buffered(out.into_iter());
                 }
-                Phase::Probe => {
-                    let Some(batch) = self.left.next_batch(state)? else {
-                        self.phase = if self.join_type.emits_right_unmatched() {
-                            Phase::BuildUnmatched(0)
-                        } else {
-                            Phase::Done
-                        };
-                        continue;
+                Phase::Probe(ref mut pending) => {
+                    let (batch, pos) = match pending.take() {
+                        Some(p) => p,
+                        None => match self.left.next_batch(state)? {
+                            Some(batch) => (batch, 0),
+                            None => {
+                                self.phase = self.after_probe();
+                                continue;
+                            }
+                        },
                     };
-                    let out = self.probe_side().probe(batch.rows(), self.left_width)?;
+                    let (out, probed) = self.probe_side().probe(
+                        &batch.rows()[pos..],
+                        self.left_width,
+                        BATCH_SIZE,
+                    )?;
+                    if pos + probed < batch.len() {
+                        self.phase = Phase::Probe(Some((batch, pos + probed)));
+                    }
                     if !out.is_empty() {
                         return Ok(Some(RowBatch::new(self.schema.clone(), out)));
                     }
@@ -518,14 +453,36 @@ impl ExecNode for HashJoinExec {
 mod tests {
     use super::*;
     use crate::exec::test_util::int2_rel;
-    use crate::exec::{collect, ExecutionState, NestedLoopJoinExec, SeqScanExec};
+    use crate::exec::{collect, ExecutionState, SeqScanExec};
     use crate::expr::col;
     use crate::plan::PlannerConfig;
     use crate::relation::Relation;
     use crate::schema::{Column, DataType};
 
+    const ALL_JOIN_TYPES: [JoinType; 6] = [
+        JoinType::Inner,
+        JoinType::Left,
+        JoinType::Right,
+        JoinType::Full,
+        JoinType::Semi,
+        JoinType::Anti,
+    ];
+
     fn scan(vals: &[(i64, i64)]) -> BoxedExec {
         Box::new(SeqScanExec::new(int2_rel(("k", "v"), vals).into_shared()))
+    }
+
+    /// A (k, v) relation whose rows may hold NULLs.
+    fn nullable_scan(rows: Vec<Vec<Value>>) -> BoxedExec {
+        let rel = Relation::from_values(
+            Schema::new(vec![
+                Column::new("k", DataType::Int),
+                Column::new("v", DataType::Int),
+            ]),
+            rows,
+        )
+        .unwrap();
+        Box::new(SeqScanExec::new(rel.into_shared()))
     }
 
     fn run_hash(
@@ -538,7 +495,8 @@ mod tests {
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
-    /// Same join via nested loop, as the semantics oracle.
+    /// The same join with no keys and the key equality folded into the
+    /// condition: a nested loop.
     fn run_nl(
         l: &[(i64, i64)],
         r: &[(i64, i64)],
@@ -549,25 +507,34 @@ mod tests {
             None => col(0).eq(col(2)),
             Some(res) => col(0).eq(col(2)).and(res),
         };
-        let node = NestedLoopJoinExec::new(scan(l), scan(r), jt, Some(cond));
+        join(l, r, jt, Some(cond))
+    }
+
+    /// Keyless (nested-loop) join under an arbitrary condition.
+    fn join(l: &[(i64, i64)], r: &[(i64, i64)], jt: JoinType, cond: Option<Expr>) -> Relation {
+        let node = HashJoinExec::new(scan(l), scan(r), vec![], cond, jt);
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
+    fn vals(rel: &Relation) -> Vec<Vec<Value>> {
+        rel.rows().iter().map(|r| r.to_vec()).collect()
+    }
+
+    /// Condition `l.k = r.k` (left width 2).
+    fn keq() -> Option<Expr> {
+        Some(col(0).eq(col(2)))
+    }
+
     #[test]
-    fn agrees_with_nested_loop_on_all_join_types() {
-        let l = [(1, 10), (2, 20), (2, 21), (4, 40)];
-        let r = [(2, 200), (2, 201), (3, 300)];
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
-            JoinType::Semi,
-            JoinType::Anti,
-        ] {
-            let h = run_hash(&l, &r, jt, None);
-            let n = run_nl(&l, &r, jt, None);
-            assert!(h.same_bag(&n), "join type {jt:?}: {h} vs {n}");
+    fn keyed_and_keyless_agree_row_for_row_on_all_join_types() {
+        let l = [(1, 10), (2, 20), (2, 21), (4, 40), (5, 50)];
+        let r = [(2, 200), (2, 201), (3, 300), (5, 55)];
+        for jt in ALL_JOIN_TYPES {
+            for residual in [None, Some(col(1).lt(col(3)))] {
+                let h = run_hash(&l, &r, jt, residual.clone());
+                let n = run_nl(&l, &r, jt, residual);
+                assert_eq!(h.rows(), n.rows(), "join type {jt:?}: {h} vs {n}");
+            }
         }
     }
 
@@ -577,51 +544,23 @@ mod tests {
         let r = [(2, 22), (2, 24)];
         // residual: l.v < r.v
         let residual = Some(col(1).lt(col(3)));
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Full,
-            JoinType::Anti,
-        ] {
-            let h = run_hash(&l, &r, jt, residual.clone());
-            let n = run_nl(&l, &r, jt, residual.clone());
-            assert!(h.same_bag(&n), "join type {jt:?}");
-        }
+        let inner = run_hash(&l, &r, JoinType::Inner, residual.clone());
+        assert_eq!(inner.len(), 2); // 20<22, 20<24
+        let anti = run_hash(&l, &r, JoinType::Anti, residual);
+        assert_eq!(vals(&anti), vec![vec![Value::Int(2), Value::Int(25)]]);
     }
 
     #[test]
     fn null_keys_never_match_but_surface_in_outer() {
-        let l_rel = Relation::from_values(
-            Schema::new(vec![
-                Column::new("k", DataType::Int),
-                Column::new("v", DataType::Int),
-            ]),
-            vec![
-                vec![Value::Null, Value::Int(1)],
-                vec![Value::Int(2), Value::Int(2)],
-            ],
-        )
-        .unwrap()
-        .into_shared();
-        let r_rel = Relation::from_values(
-            Schema::new(vec![
-                Column::new("k", DataType::Int),
-                Column::new("w", DataType::Int),
-            ]),
-            vec![
-                vec![Value::Null, Value::Int(9)],
-                vec![Value::Int(2), Value::Int(8)],
-            ],
-        )
-        .unwrap()
-        .into_shared();
-        let node = HashJoinExec::new(
-            Box::new(SeqScanExec::new(l_rel)),
-            Box::new(SeqScanExec::new(r_rel)),
-            vec![(0, 0)],
-            None,
-            JoinType::Full,
-        );
+        let l = nullable_scan(vec![
+            vec![Value::Null, Value::Int(1)],
+            vec![Value::Int(2), Value::Int(2)],
+        ]);
+        let r = nullable_scan(vec![
+            vec![Value::Null, Value::Int(9)],
+            vec![Value::Int(2), Value::Int(8)],
+        ]);
+        let node = HashJoinExec::new(l, r, vec![(0, 0)], None, JoinType::Full);
         let out = collect(Box::new(node), &ExecutionState::default()).unwrap();
         // matched (2,2,2,8); unmatched left (ω,1,ω,ω); unmatched right (ω,ω,ω,9)
         assert_eq!(out.len(), 3);
@@ -636,36 +575,116 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_is_row_for_row_identical_on_all_join_types() {
-        use crate::exec::collect_rowwise;
-        let l = [(1, 10), (2, 20), (2, 21), (4, 40), (5, 50)];
-        let r = [(2, 200), (2, 201), (3, 300), (5, 55)];
-        let residuals = [None, Some(col(1).lt(col(3)))];
-        for jt in [
+    fn keyless_inner_join() {
+        let out = vals(&join(
+            &[(1, 10), (2, 20)],
+            &[(2, 200), (3, 300)],
             JoinType::Inner,
+            keq(),
+        ));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0][0], Value::Int(2));
+        assert_eq!(out[0][3], Value::Int(200));
+    }
+
+    #[test]
+    fn keyless_cross_product_with_none_condition() {
+        let out = join(
+            &[(1, 1), (2, 2)],
+            &[(3, 3), (4, 4), (5, 5)],
+            JoinType::Inner,
+            None,
+        );
+        assert_eq!(out.len(), 6);
+    }
+
+    #[test]
+    fn keyless_left_outer_pads_nulls() {
+        let out = vals(&join(
+            &[(1, 10), (2, 20)],
+            &[(2, 200)],
             JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
+            keq(),
+        ));
+        assert_eq!(out.len(), 2);
+        let unmatched = out.iter().find(|r| r[0] == Value::Int(1)).unwrap();
+        assert!(unmatched[2].is_null() && unmatched[3].is_null());
+    }
+
+    #[test]
+    fn keyless_right_and_full_emit_right_unmatched_last_in_build_order() {
+        let l = [(2, 20)];
+        let r = [(4, 400), (2, 200), (3, 300)];
+        let right = vals(&join(&l, &r, JoinType::Right, keq()));
+        let null = Value::Null;
+        assert_eq!(
+            right,
+            vec![
+                vec![
+                    Value::Int(2),
+                    Value::Int(20),
+                    Value::Int(2),
+                    Value::Int(200)
+                ],
+                vec![null.clone(), null.clone(), Value::Int(4), Value::Int(400)],
+                vec![null.clone(), null.clone(), Value::Int(3), Value::Int(300)],
+            ]
+        );
+        let full = vals(&join(&[(1, 10), (2, 20)], &r, JoinType::Full, keq()));
+        assert_eq!(full.len(), 4);
+        assert_eq!(
+            full[0],
+            vec![Value::Int(1), Value::Int(10), null.clone(), null]
+        );
+        assert_eq!(full[2][2], Value::Int(4));
+        assert_eq!(full[3][2], Value::Int(3));
+    }
+
+    #[test]
+    fn keyless_semi_join_emits_left_once() {
+        let out = vals(&join(
+            &[(1, 10), (2, 20)],
+            &[(2, 200), (2, 201)],
             JoinType::Semi,
+            keq(),
+        ));
+        assert_eq!(out, vec![vec![Value::Int(2), Value::Int(20)]]);
+    }
+
+    #[test]
+    fn keyless_anti_join_emits_non_matching_left() {
+        let out = vals(&join(
+            &[(1, 10), (2, 20)],
+            &[(2, 200), (2, 201)],
             JoinType::Anti,
-        ] {
-            for residual in &residuals {
-                let residual = residual.clone();
-                let mk = |residual: Option<Expr>| {
-                    Box::new(HashJoinExec::new(
-                        scan(&l),
-                        scan(&r),
-                        vec![(0, 0)],
-                        residual,
-                        jt,
-                    ))
-                };
-                let rows =
-                    collect_rowwise(mk(residual.clone()), &ExecutionState::default()).unwrap();
-                let batches = collect(mk(residual), &ExecutionState::default()).unwrap();
-                assert_eq!(rows.rows(), batches.rows(), "join type {jt:?}");
-            }
-        }
+            keq(),
+        ));
+        assert_eq!(out, vec![vec![Value::Int(1), Value::Int(10)]]);
+        let all = join(&[(1, 10), (2, 20)], &[], JoinType::Anti, keq());
+        assert_eq!(all.len(), 2);
+    }
+
+    #[test]
+    fn keyless_theta_join_non_equi() {
+        // l.v < r.v
+        let cond = Some(col(1).lt(col(3)));
+        let out = join(
+            &[(0, 5), (0, 25)],
+            &[(0, 10), (0, 20)],
+            JoinType::Inner,
+            cond,
+        );
+        assert_eq!(out.len(), 2); // 5<10, 5<20
+    }
+
+    #[test]
+    fn keyless_null_condition_never_matches() {
+        // l.k = r.k where right k is NULL
+        let right = nullable_scan(vec![vec![Value::Null, Value::Int(9)]]);
+        let node = HashJoinExec::new(scan(&[(1, 10)]), right, vec![], keq(), JoinType::Left);
+        let out = collect(Box::new(node), &ExecutionState::default()).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(out.rows()[0][2].is_null());
     }
 
     #[test]
@@ -681,14 +700,7 @@ mod tests {
         });
         let serial_state = ExecutionState::default();
         let residuals = [None, Some(col(1).lt(col(3)))];
-        for jt in [
-            JoinType::Inner,
-            JoinType::Left,
-            JoinType::Right,
-            JoinType::Full,
-            JoinType::Semi,
-            JoinType::Anti,
-        ] {
+        for jt in ALL_JOIN_TYPES {
             for residual in &residuals {
                 let mk = || {
                     Box::new(HashJoinExec::new(
@@ -706,5 +718,41 @@ mod tests {
         }
         let (_, _, partitions) = par_state.stats.snapshot();
         assert!(partitions > 0, "parallel probe must actually partition");
+    }
+
+    #[test]
+    fn keyless_probe_is_incremental_serial_and_parallel() {
+        // A 2,000 × 2,000 cross join: one pull stops at the first probe
+        // row that takes the output past BATCH_SIZE, also under a parallel
+        // state, so LIMIT never waits for the 4M-row product.
+        let rows: Vec<(i64, i64)> = (0..2000).map(|i| (i, i)).collect();
+        let par_state = ExecutionState::new(PlannerConfig {
+            threads: 4,
+            parallel_min_rows: 1,
+            ..Default::default()
+        });
+        for state in [ExecutionState::default(), par_state] {
+            let mk = || {
+                Box::new(HashJoinExec::new(
+                    scan(&rows),
+                    scan(&rows),
+                    vec![],
+                    None,
+                    JoinType::Inner,
+                ))
+            };
+            let mut node = mk();
+            let first = node.next_batch(&state).unwrap().unwrap();
+            assert!(first.len() >= BATCH_SIZE && first.len() <= BATCH_SIZE + rows.len());
+            let rest = node.left.next_batch(&state).unwrap();
+            assert!(rest.is_some(), "one pull must not drain the probe side");
+            let limited = collect(Box::new(crate::exec::LimitExec::new(mk(), 10)), &state).unwrap();
+            assert_eq!(limited.len(), 10);
+            assert_eq!(
+                limited.rows()[9][3],
+                Value::Int(9),
+                "first probe row's matches in build order"
+            );
+        }
     }
 }

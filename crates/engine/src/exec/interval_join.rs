@@ -16,15 +16,14 @@
 //! improvement.
 //!
 //! The sweep is **incremental**: both inputs are materialized and sorted
-//! (inherent to a sort-based sweep), but output is produced one left row
-//! at a time, so working memory beyond the inputs stays proportional to
-//! the active window — never to the (potentially quadratic) output.
-
-use std::collections::VecDeque;
+//! (inherent to a sort-based sweep), but each pull advances over left rows
+//! only until a batch worth of output has accumulated, so working memory
+//! beyond the inputs stays proportional to the active window plus one
+//! batch — never to the (potentially quadratic) output.
 
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows, collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::{CompiledPred, Expr};
 use crate::plan::JoinType;
 use crate::schema::Schema;
@@ -83,9 +82,6 @@ pub struct IntervalJoinExec {
     schema: Schema,
     right_width: usize,
     state: Option<SweepState>,
-    /// Matches of the left row currently being emitted (row path only);
-    /// bounded by one left row's match count, not by the whole output.
-    pending: VecDeque<Row>,
 }
 
 impl IntervalJoinExec {
@@ -118,27 +114,16 @@ impl IntervalJoinExec {
             schema,
             right_width,
             state: None,
-            pending: VecDeque::new(),
         }
     }
 
-    /// Materialize and sort both sides (once), via the protocol the caller
-    /// is driving.
-    fn ensure_state(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<()> {
+    /// Materialize and sort both sides (once).
+    fn ensure_state(&mut self, state: &ExecutionState) -> EngineResult<()> {
         if self.state.is_some() {
             return Ok(());
         }
-        let (l_rows, r_rows) = if batched {
-            (
-                collect_rows_batched(self.left.as_mut(), state)?,
-                collect_rows_batched(self.right.as_mut(), state)?,
-            )
-        } else {
-            (
-                collect_rows(self.left.as_mut(), state)?,
-                collect_rows(self.right.as_mut(), state)?,
-            )
-        };
+        let l_rows = collect_rows(self.left.as_mut(), state)?;
+        let r_rows = collect_rows(self.right.as_mut(), state)?;
         self.state = Some(SweepState {
             l: SweepSide::new(l_rows, self.l_ts, self.l_te),
             r: SweepSide::new(r_rows, self.r_ts, self.r_te),
@@ -151,16 +136,15 @@ impl IntervalJoinExec {
 
     /// Advance the sweep over **one** left row, appending its join output
     /// to `out`. Returns `false` when the left side is exhausted.
-    /// `batch_pred` selects the protocol: `None` is the row path
-    /// (per-candidate `eval_pred` over the combined row); `Some(pred)` is
-    /// the batch path, where `pred` is the residual pre-compiled by the
-    /// caller (once per batch) and evaluated over the row *pair*, with the
-    /// combined row materialized only for passing candidates, or `None`
-    /// inside for non-compilable residuals (vectorized fallback).
+    /// `compiled` is the residual pre-compiled by the caller (once per
+    /// batch) and evaluated over the row *pair*, with the combined row
+    /// materialized only for passing candidates; `None` for a
+    /// non-compilable residual, which is evaluated vectorized over the
+    /// materialized candidates.
     fn sweep_one_left(
         &mut self,
         out: &mut Vec<Row>,
-        batch_pred: Option<Option<&CompiledPred>>,
+        compiled: Option<&CompiledPred>,
     ) -> EngineResult<bool> {
         let st = self.state.as_mut().expect("state built");
         if st.next_l >= st.l.order.len() {
@@ -195,7 +179,7 @@ impl IntervalJoinExec {
 
         let left_width = self.schema.len() - self.right_width;
         let mut matched = false;
-        match (&self.residual, batch_pred) {
+        match (&self.residual, compiled) {
             (None, _) => {
                 for &j in &st.active {
                     let (rts, rte) = st.r.pts[j].expect("admitted");
@@ -207,7 +191,7 @@ impl IntervalJoinExec {
                     }
                 }
             }
-            (Some(_), Some(Some(pred))) => {
+            (Some(_), Some(pred)) => {
                 for &j in &st.active {
                     let (rts, rte) = st.r.pts[j].expect("admitted");
                     if rts < lte
@@ -223,7 +207,7 @@ impl IntervalJoinExec {
                     }
                 }
             }
-            (Some(e), Some(None)) => {
+            (Some(e), None) => {
                 let mut cands: Vec<Row> = Vec::new();
                 for &j in &st.active {
                     let (rts, rte) = st.r.pts[j].expect("admitted");
@@ -236,18 +220,6 @@ impl IntervalJoinExec {
                     if p {
                         matched = true;
                         out.push(c);
-                    }
-                }
-            }
-            (Some(e), None) => {
-                for &j in &st.active {
-                    let (rts, rte) = st.r.pts[j].expect("admitted");
-                    if rts < lte && rte > lts {
-                        let combined = st.l.rows[li].concat(&st.r.rows[j]);
-                        if e.eval_pred(combined.values())? {
-                            matched = true;
-                            out.push(combined);
-                        }
                     }
                 }
             }
@@ -264,31 +236,17 @@ impl ExecNode for IntervalJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        loop {
-            if let Some(row) = self.pending.pop_front() {
-                return Ok(Some(row));
-            }
-            self.ensure_state(state, false)?;
-            let mut buf = Vec::new();
-            if !self.sweep_one_left(&mut buf, None)? {
-                return Ok(None);
-            }
-            self.pending.extend(buf);
-        }
-    }
-
-    /// Batch path: streaming batched sweep — advance over left rows until a
-    /// batch worth of output has accumulated. The residual is compiled once
+    /// Streaming batched sweep: advance over left rows until a batch worth
+    /// of output has accumulated. The residual is compiled once
     /// per call (from a clone of the expression, so the borrow doesn't pin
     /// `self`), not once per left row.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.ensure_state(state, true)?;
+        self.ensure_state(state)?;
         let residual = self.residual.clone();
         let compiled = residual.as_ref().and_then(CompiledPred::compile);
-        let mut out: Vec<Row> = self.pending.drain(..).collect();
+        let mut out: Vec<Row> = Vec::new();
         while out.len() < BATCH_SIZE {
-            if !self.sweep_one_left(&mut out, Some(compiled.as_ref()))? {
+            if !self.sweep_one_left(&mut out, compiled.as_ref())? {
                 break;
             }
         }
@@ -302,7 +260,7 @@ impl ExecNode for IntervalJoinExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, ExecutionState, NestedLoopJoinExec, SeqScanExec};
+    use crate::exec::{collect, ExecutionState, HashJoinExec, SeqScanExec};
     use crate::expr::col;
     use crate::relation::Relation;
     use crate::schema::{Column, DataType};
@@ -337,7 +295,7 @@ mod tests {
             Some(res) => overlap.and(res),
             None => overlap,
         };
-        let node = NestedLoopJoinExec::new(scan(l), scan(r), jt, Some(cond));
+        let node = HashJoinExec::new(scan(l), scan(r), vec![], Some(cond), jt);
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
@@ -399,64 +357,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_path_is_row_for_row_identical() {
-        use crate::exec::collect_rowwise;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..10 {
-            let mk = |rng: &mut StdRng| {
-                let rows: Vec<(i64, i64, i64)> = (0..rng.gen_range(0..25))
-                    .map(|i| {
-                        let s = rng.gen_range(0..40);
-                        (i % 4, s, s + rng.gen_range(1..12))
-                    })
-                    .collect();
-                rel(&rows)
-            };
-            let l = mk(&mut rng);
-            let r = mk(&mut rng);
-            for jt in [JoinType::Inner, JoinType::Left] {
-                for residual in [None, Some(col(0).eq(col(3)))] {
-                    let mk_node = |res: Option<Expr>| {
-                        Box::new(IntervalJoinExec::new(
-                            scan(&l),
-                            scan(&r),
-                            1,
-                            2,
-                            1,
-                            2,
-                            res,
-                            jt,
-                        ))
-                    };
-                    let rows =
-                        collect_rowwise(mk_node(residual.clone()), &ExecutionState::default())
-                            .unwrap();
-                    let batches = collect(mk_node(residual), &ExecutionState::default()).unwrap();
-                    assert_eq!(rows.rows(), batches.rows(), "{jt:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn row_path_is_incremental() {
-        // The first next() call must not materialize the whole output:
-        // emitting a row leaves later matches unproduced in `pending` —
-        // bounded by one left row's matches, not the full cross product.
-        let l = rel(&[(1, 0, 10), (2, 0, 10), (3, 0, 10)]);
-        let r = rel(&[(7, 0, 10), (8, 0, 10), (9, 0, 10)]);
+    fn sweep_is_incremental() {
+        // Every left row overlaps every right row: the full output is
+        // quadratic, but one pull stops at the first left row that takes
+        // the batch past BATCH_SIZE rows.
+        let n = 64i64;
+        let l = rel(&(0..n).map(|k| (k, 0, 10)).collect::<Vec<_>>());
+        let r = rel(&(0..n).map(|k| (k, 0, 10)).collect::<Vec<_>>());
         let mut node = IntervalJoinExec::new(scan(&l), scan(&r), 1, 2, 1, 2, None, JoinType::Inner);
-        assert!(node.next(&ExecutionState::default()).unwrap().is_some());
-        // 9 matches total; after one next() only the current left row's
-        // remaining matches (2 of its 3) are buffered.
-        assert_eq!(node.pending.len(), 2);
-        let mut remaining = 0;
-        while node.next(&ExecutionState::default()).unwrap().is_some() {
-            remaining += 1;
+        let state = ExecutionState::default();
+        let first = node.next_batch(&state).unwrap().unwrap();
+        assert_eq!(first.len(), BATCH_SIZE);
+        let mut total = first.len();
+        while let Some(b) = node.next_batch(&state).unwrap() {
+            total += b.len();
         }
-        assert_eq!(remaining, 8);
+        assert_eq!(total, (n * n) as usize);
     }
 
     #[test]

@@ -4,16 +4,17 @@
 //! on the key columns. Supports Inner, Left and Full joins; the planner
 //! rewrites Right joins by swapping inputs.
 
+use crate::batch::{next_chunk, RowBatch};
 use crate::error::EngineResult;
-use crate::exec::{BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::plan::JoinType;
 use crate::schema::Schema;
 use crate::tuple::Row;
 use crate::value::Value;
 
-/// Merge join over sorted inputs. Output is computed group-by-group and
-/// streamed from an internal queue.
+/// Merge join over sorted inputs. Output is computed group-by-group on the
+/// first pull and emitted a batch at a time.
 pub struct MergeJoinExec {
     left: BoxedExec,
     right: BoxedExec,
@@ -63,14 +64,8 @@ impl MergeJoinExec {
     }
 
     fn compute(&mut self, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-        let mut l_rows = Vec::new();
-        while let Some(r) = self.left.next(state)? {
-            l_rows.push(r);
-        }
-        let mut r_rows = Vec::new();
-        while let Some(r) = self.right.next(state)? {
-            r_rows.push(r);
-        }
+        let l_rows = collect_rows(self.left.as_mut(), state)?;
+        let r_rows = collect_rows(self.right.as_mut(), state)?;
 
         let lkey =
             |row: &Row| -> Vec<Value> { self.keys.iter().map(|&(l, _)| row[l].clone()).collect() };
@@ -171,12 +166,15 @@ impl ExecNode for MergeJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
             let rows = self.compute(state)?;
             self.out = Some(rows.into_iter());
         }
-        Ok(self.out.as_mut().expect("initialized").next())
+        Ok(next_chunk(
+            &self.schema,
+            self.out.as_mut().expect("computed"),
+        ))
     }
 }
 
@@ -184,7 +182,7 @@ impl ExecNode for MergeJoinExec {
 mod tests {
     use super::*;
     use crate::exec::test_util::int2_rel;
-    use crate::exec::{collect, ExecutionState, NestedLoopJoinExec, SeqScanExec, SortExec};
+    use crate::exec::{collect, ExecutionState, HashJoinExec, SeqScanExec, SortExec};
     use crate::expr::{col, SortKey};
     use crate::relation::Relation;
 
@@ -203,6 +201,7 @@ mod tests {
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 
+    /// The same join as a nested loop (keyless hash join), as the oracle.
     fn run_nl(
         l: &[(i64, i64)],
         r: &[(i64, i64)],
@@ -213,7 +212,7 @@ mod tests {
             None => col(0).eq(col(2)),
             Some(res) => col(0).eq(col(2)).and(res),
         };
-        let node = NestedLoopJoinExec::new(sorted_scan(l), sorted_scan(r), jt, Some(cond));
+        let node = HashJoinExec::new(sorted_scan(l), sorted_scan(r), vec![], Some(cond), jt);
         collect(Box::new(node), &ExecutionState::default()).unwrap()
     }
 

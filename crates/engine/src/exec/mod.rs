@@ -1,23 +1,17 @@
-//! Volcano-style pipelined executor.
+//! Pull-based pipelined executor with one protocol: batches.
 //!
-//! Every physical operator implements [`ExecNode`]: `next()` returns one row
-//! at a time until `None`. This mirrors the PostgreSQL executor the paper
-//! extends — their `ExecAdjustment` (Fig. 10) "is integrated into the
-//! pipelining architecture of PostgreSQL and on each invocation either a
-//! single result tuple is returned, or ω". The temporal crate's adjustment
-//! node implements this same trait.
-//!
-//! On top of the row protocol sits a **batch protocol**:
-//! [`ExecNode::next_batch`] moves a [`RowBatch`] of ~[`BATCH_SIZE`] rows
-//! per virtual call. Every node supports it — the default implementation
-//! falls back to pulling rows one at a time — and the hot operators
-//! (scan, filter, project, sort, hash join, interval join, the temporal
-//! sweeps) override it to do their work over a whole chunk, with
-//! expression evaluation vectorized via [`crate::expr::Expr::eval_batch`].
-//! The two protocols are row-for-row identical (differentially tested);
-//! a node instance must be *driven* through exactly one of them, because
-//! operators with native batch implementations keep separate pull state
-//! for each protocol.
+//! Every physical operator implements [`ExecNode`], whose single pull
+//! method [`ExecNode::next_batch`] returns the next [`RowBatch`] of about
+//! [`BATCH_SIZE`](crate::batch::BATCH_SIZE) rows, or `None` when
+//! exhausted. This is the paper's pipelining model — their
+//! `ExecAdjustment` (Fig. 10) "is integrated into the pipelining
+//! architecture of PostgreSQL and on each invocation either a single
+//! result tuple is returned, or ω" — with a chunk of tuples per invocation
+//! instead of one, so virtual dispatch and expression-tree walks are paid
+//! per batch (expression evaluation is vectorized via
+//! [`crate::expr::Expr::eval_batch`]). The temporal crate's adjustment
+//! node implements this same trait. Consumers that want rows (LIMIT,
+//! DISTINCT, merge join, the blocking operators) iterate over batches.
 
 mod aggregate;
 mod distinct;
@@ -28,7 +22,6 @@ pub mod instrument;
 mod interval_join;
 mod limit;
 mod merge_join;
-mod nl_join;
 mod project;
 mod scan;
 mod setops;
@@ -47,16 +40,15 @@ pub use instrument::{Instrumentation, InstrumentedExec, OperatorStats};
 pub use interval_join::IntervalJoinExec;
 pub use limit::LimitExec;
 pub use merge_join::MergeJoinExec;
-pub use nl_join::NestedLoopJoinExec;
 pub use project::ProjectExec;
 pub use scan::SeqScanExec;
 pub use setops::HashSetOpExec;
-pub use sort::{sort_rows, sort_rows_batched, sort_rows_parallel, SortExec};
+pub use sort::{sort_rows, sort_rows_parallel, SortExec};
 pub use state::{ExecStats, ExecutionState};
 pub use storage_scan::StorageScanExec;
 pub use values::ValuesExec;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::RowBatch;
 use crate::error::EngineResult;
 use crate::relation::Relation;
 use crate::schema::Schema;
@@ -72,29 +64,11 @@ pub trait ExecNode: Send {
     /// The output schema.
     fn schema(&self) -> &Schema;
 
-    /// Produce the next output row, or `None` when exhausted.
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>>;
-
     /// Produce the next batch of output rows, or `None` when exhausted.
-    /// Batches are never empty; their size is *about* [`BATCH_SIZE`]
+    /// Batches are never empty; their size is *about*
+    /// [`BATCH_SIZE`](crate::batch::BATCH_SIZE)
     /// (operators may emit fewer or more rows per call).
-    ///
-    /// The default implementation pulls rows one at a time via
-    /// [`ExecNode::next`], so every node supports both protocols; hot
-    /// operators override it to work chunk-at-a-time. Callers must drive a
-    /// node instance through exactly one of the two protocols — operators
-    /// with native batch implementations keep separate pull state per
-    /// protocol, and mixing them on one instance may skip or repeat rows.
-    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        let mut batch = RowBatch::with_capacity(self.schema().clone(), BATCH_SIZE);
-        while batch.len() < BATCH_SIZE {
-            match self.next(state)? {
-                Some(row) => batch.push(row),
-                None => break,
-            }
-        }
-        Ok((!batch.is_empty()).then_some(batch))
-    }
+    fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>>;
 }
 
 /// Owned, type-erased executor node.
@@ -120,37 +94,9 @@ pub fn collect(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Rela
     Ok(rel)
 }
 
-/// Drain a node into a materialized [`Relation`] one row at a time — the
-/// pre-batch Volcano path, kept working so the two protocols can be
-/// differentially tested and benchmarked against each other.
-pub fn collect_rowwise(mut node: BoxedExec, state: &ExecutionState) -> EngineResult<Relation> {
-    let schema = node.schema().clone();
-    let mut rows = Vec::new();
-    while let Some(row) = node.next(state)? {
-        rows.push(row);
-    }
-    state
-        .stats
-        .rows_emitted
-        .fetch_add(rows.len() as u64, std::sync::atomic::Ordering::Relaxed);
-    Relation::new(schema, rows)
-}
-
-/// Drain a node into a row vector via the row protocol (schema discarded).
+/// Drain a node into a row vector (schema discarded) — the
+/// materialization step of blocking operators.
 pub fn collect_rows(node: &mut dyn ExecNode, state: &ExecutionState) -> EngineResult<Vec<Row>> {
-    let mut rows = Vec::new();
-    while let Some(row) = node.next(state)? {
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Drain a node into a row vector via the batch protocol — the
-/// materialization step of blocking operators on the batch path.
-pub fn collect_rows_batched(
-    node: &mut dyn ExecNode,
-    state: &ExecutionState,
-) -> EngineResult<Vec<Row>> {
     let mut rows = Vec::new();
     while let Some(batch) = node.next_batch(state)? {
         state.check_cancelled()?;

@@ -9,7 +9,6 @@ use crate::exec::{BoxedExec, ExecNode, ExecutionState};
 use crate::expr::Expr;
 use crate::schema::Schema;
 use crate::tuple::Row;
-use crate::value::Value;
 
 /// Evaluates a list of expressions against each input row.
 pub struct ProjectExec {
@@ -34,21 +33,8 @@ impl ExecNode for ProjectExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        match self.input.next(state)? {
-            Some(row) => {
-                let mut out: Vec<Value> = Vec::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(row.values())?);
-                }
-                Ok(Some(Row::new(out)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Batch path: one vectorized evaluation per output expression, then
-    /// one pass re-assembling the value columns into rows.
+    /// One vectorized evaluation per output expression, then one pass
+    /// re-assembling the value columns into rows.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         match self.input.next_batch(state)? {
             None => Ok(None),
@@ -77,6 +63,7 @@ mod tests {
     use crate::exec::{collect, ExecutionState, SeqScanExec};
     use crate::expr::col;
     use crate::schema::{Column, DataType};
+    use crate::value::Value;
 
     #[test]
     fn projects_expressions() {

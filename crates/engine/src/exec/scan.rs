@@ -7,7 +7,6 @@ use crate::error::EngineResult;
 use crate::exec::{ExecNode, ExecutionState};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// Scans an `Arc<Relation>`; row clones are `Arc` bumps, not deep copies.
 /// A scan may cover only a contiguous row range — the morsel shape the
@@ -41,17 +40,8 @@ impl ExecNode for SeqScanExec {
         self.rel.schema()
     }
 
-    fn next(&mut self, _state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.pos >= self.end {
-            return Ok(None);
-        }
-        let row = self.rel.rows()[self.pos].clone();
-        self.pos += 1;
-        Ok(Some(row))
-    }
-
-    /// Batch path: clone a contiguous chunk of the backing relation (each
-    /// clone is an `Arc` bump).
+    /// Clone a contiguous chunk of the backing relation (each clone is an
+    /// `Arc` bump).
     fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.pos >= self.end {
             return Ok(None);
@@ -82,8 +72,8 @@ mod tests {
         let rel = int_rel("a", &[]).into_shared();
         let mut scan = SeqScanExec::new(rel);
         let state = ExecutionState::default();
-        assert!(scan.next(&state).unwrap().is_none());
-        assert!(scan.next(&state).unwrap().is_none());
+        assert!(scan.next_batch(&state).unwrap().is_none());
+        assert!(scan.next_batch(&state).unwrap().is_none());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Set operations ∪, ∩, − with set semantics (duplicates eliminated), the
 //! semantics the paper assumes for temporal relations (Sec. 3.1).
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{next_chunk, RowBatch};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{collect_rows, collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::hashing::FxHashSet;
 use crate::plan::SetOpKind;
 use crate::schema::Schema;
@@ -34,18 +34,9 @@ impl HashSetOpExec {
         })
     }
 
-    fn compute(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<Vec<Row>> {
-        let (left_rows, right_rows) = if batched {
-            (
-                collect_rows_batched(self.left.as_mut(), state)?,
-                collect_rows_batched(self.right.as_mut(), state)?,
-            )
-        } else {
-            (
-                collect_rows(self.left.as_mut(), state)?,
-                collect_rows(self.right.as_mut(), state)?,
-            )
-        };
+    fn compute(&mut self, state: &ExecutionState) -> EngineResult<Vec<Row>> {
+        let left_rows = collect_rows(self.left.as_mut(), state)?;
+        let right_rows = collect_rows(self.right.as_mut(), state)?;
         let mut out = Vec::new();
         match self.kind {
             SetOpKind::Union => {
@@ -84,27 +75,15 @@ impl ExecNode for HashSetOpExec {
         self.left.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.out.is_none() {
-            let rows = self.compute(state, false)?;
-            self.out = Some(rows.into_iter());
-        }
-        Ok(self.out.as_mut().expect("initialized").next())
-    }
-
-    /// Batch path: drain both inputs batch-wise, then emit the
-    /// (materialized) result a chunk at a time.
+    /// Drain both inputs, then emit the (materialized) result a chunk at a
+    /// time.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.out.is_none() {
-            let rows = self.compute(state, true)?;
+            let rows = self.compute(state)?;
             self.out = Some(rows.into_iter());
         }
-        let it = self.out.as_mut().expect("initialized");
-        let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.left.schema().clone(), chunk)))
+        let out = self.out.as_mut().expect("initialized");
+        Ok(next_chunk(self.left.schema(), out))
     }
 }
 

@@ -6,9 +6,9 @@
 
 use std::cmp::Ordering;
 
-use crate::batch::{RowBatch, BATCH_SIZE};
+use crate::batch::{next_chunk, RowBatch};
 use crate::error::EngineResult;
-use crate::exec::{collect_rows_batched, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect_rows, BoxedExec, ExecNode, ExecutionState};
 use crate::expr::SortKey;
 use crate::schema::Schema;
 use crate::tuple::Row;
@@ -50,30 +50,15 @@ fn cmp_keys(keys: &[SortKey], a: &[Value], b: &[Value]) -> Ordering {
     Ordering::Equal
 }
 
-/// Sort a row vector in place by `keys` (decorate–sort–undecorate).
+/// Sort a row vector in place by `keys`, ties broken by the full row
+/// (decorate–sort–undecorate). Each key expression is evaluated once over
+/// the whole row vector, and all-integer key sets (every temporal sort:
+/// data ids, timestamps, split points) are order-encoded into flat `i64`
+/// vectors so the comparator is a machine-word slice compare instead of a
+/// `Value` tree walk. The encoding is an order-isomorphism on the admitted
+/// values, with equal encodings ⇔ equal keys, so the order is the same as
+/// under the general `Value` key comparator.
 pub fn sort_rows(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
-    let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rows.len());
-    for row in rows.drain(..) {
-        let mut kv = Vec::with_capacity(keys.len());
-        for k in keys {
-            kv.push(k.expr.eval(row.values())?);
-        }
-        decorated.push((kv, row));
-    }
-    decorated.sort_by(|(ka, ra), (kb, rb)| cmp_keys(keys, ka, kb).then_with(|| ra.cmp(rb)));
-    rows.extend(decorated.into_iter().map(|(_, r)| r));
-    Ok(())
-}
-
-/// [`sort_rows`] with vectorized key decoration: each key expression is
-/// evaluated once over the whole row vector instead of once per row, and
-/// all-integer key sets (every temporal sort: data ids, timestamps, split
-/// points) are order-encoded into flat `i64` vectors so the comparator is
-/// a machine-word slice compare instead of a `Value` tree walk. Same order
-/// as `sort_rows` in every case: the encoding is an order-isomorphism on
-/// the admitted values, with equal encodings ⇔ equal keys, so ties fall to
-/// the identical full-row comparator.
-pub fn sort_rows_batched(rows: &mut Vec<Row>, keys: &[SortKey]) -> EngineResult<()> {
     let mut key_cols = Vec::with_capacity(keys.len());
     for k in keys {
         key_cols.push(k.expr.eval_batch(rows)?);
@@ -146,7 +131,7 @@ fn encode_int_keys(key_cols: &[Vec<Value>], keys: &[SortKey]) -> Option<Vec<i64>
 ///
 /// The comparator is shared with the serial paths and is a **total
 /// order** — key comparison falls through to the full-row comparator on
-/// ties — so the merged output is row-identical to [`sort_rows_batched`]
+/// ties — so the merged output is row-identical to [`sort_rows`]
 /// regardless of how the input was chunked.
 pub fn sort_rows_parallel(
     rows: &mut Vec<Row>,
@@ -158,7 +143,7 @@ pub fn sort_rows_parallel(
     let n = rows.len();
     let ranges = split_ranges(n, threads);
     if ranges.len() <= 1 {
-        return sort_rows_batched(rows, keys);
+        return sort_rows(rows, keys);
     }
     let k = keys.len();
     // Phase 1: evaluate key columns per chunk, on workers.
@@ -316,36 +301,20 @@ impl ExecNode for SortExec {
         self.input.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.sorted.is_none() {
-            let mut rows = Vec::new();
-            while let Some(r) = self.input.next(state)? {
-                rows.push(r);
-            }
-            sort_rows(&mut rows, &self.keys)?;
-            self.sorted = Some(rows.into_iter());
-        }
-        Ok(self.sorted.as_mut().expect("initialized").next())
-    }
-
-    /// Batch path: materialize through the input's batch protocol, sort
-    /// with vectorized key decoration, then drain a chunk per call.
+    /// Materialize the input, sort it (in parallel under a parallel state),
+    /// then drain a chunk per call.
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         if self.sorted.is_none() {
-            let mut rows = collect_rows_batched(self.input.as_mut(), state)?;
+            let mut rows = collect_rows(self.input.as_mut(), state)?;
             if state.parallel(rows.len()) {
                 sort_rows_parallel(&mut rows, &self.keys, state.threads())?;
             } else {
-                sort_rows_batched(&mut rows, &self.keys)?;
+                sort_rows(&mut rows, &self.keys)?;
             }
             self.sorted = Some(rows.into_iter());
         }
-        let it = self.sorted.as_mut().expect("initialized");
-        let chunk: Vec<Row> = it.by_ref().take(BATCH_SIZE).collect();
-        if chunk.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(RowBatch::new(self.input.schema().clone(), chunk)))
+        let sorted = self.sorted.as_mut().expect("initialized");
+        Ok(next_chunk(self.input.schema(), sorted))
     }
 }
 
@@ -412,7 +381,7 @@ mod tests {
         rows.extend(rows.clone()); // duplicate full rows
         let keys = vec![SortKey::asc(col(0)), SortKey::desc(col(1))];
         let mut serial = rows.clone();
-        sort_rows_batched(&mut serial, &keys).unwrap();
+        sort_rows(&mut serial, &keys).unwrap();
         for threads in [2, 3, 4, 8] {
             let mut par = rows.clone();
             sort_rows_parallel(&mut par, &keys, threads).unwrap();
@@ -423,7 +392,7 @@ mod tests {
             .map(|i: i64| Row::new(vec![Value::Int(i % 13), Value::Int(999 - i)]))
             .collect();
         let mut serial = int_rows.clone();
-        sort_rows_batched(&mut serial, &keys).unwrap();
+        sort_rows(&mut serial, &keys).unwrap();
         let mut par = int_rows.clone();
         sort_rows_parallel(&mut par, &keys, 4).unwrap();
         assert_eq!(par, serial);

@@ -5,9 +5,8 @@
 //! materialized `Arc<Relation>`, this node decodes slotted pages into
 //! [`RowBatch`]es *as they are pulled*: at any moment only the pages the
 //! buffer pool holds are in memory, so a table larger than the pool (or
-//! than RAM) scans in constant space. Both Volcano protocols pull from
-//! the same page cursor, so `next()` and `next_batch()` agree row for
-//! row. A scan may cover only a contiguous page range — the morsel shape
+//! than RAM) scans in constant space. A scan may cover only a contiguous
+//! page range — the morsel shape
 //! the parallel planner hands to exchange partitions; concurrent
 //! partitions share the table's buffer pool, whose pin path is per-frame
 //! (see `temporal_store::buffer`).
@@ -104,17 +103,17 @@ impl StorageScanExec {
         self
     }
 
-    /// Decode pages until `pending` holds at least `want` rows or the
+    /// Decode pages until `pending` holds at least a batch of rows or the
     /// morsel's page set is exhausted. Every decode is clamped to the
     /// statement snapshot (shared across all morsels of the query via
     /// [`ExecutionState::snapshot_for`]): fully-visible pages decode
     /// whole, the snapshot's tail page decodes as a tuple prefix, and
     /// pages appended after the snapshot are skipped entirely.
-    fn refill(&mut self, want: usize, state: &ExecutionState) -> EngineResult<()> {
+    fn refill(&mut self, state: &ExecutionState) -> EngineResult<()> {
         let snap = *self
             .snapshot
             .get_or_insert_with(|| state.snapshot_for(&self.table));
-        while self.pending.len() < want && self.next_page < self.end_page {
+        while self.pending.len() < BATCH_SIZE && self.next_page < self.end_page {
             let page_no = match &self.pages {
                 Some(list) => list[self.next_page as usize],
                 None => self.next_page,
@@ -140,15 +139,8 @@ impl ExecNode for StorageScanExec {
         self.table.schema()
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        if self.pending.is_empty() {
-            self.refill(1, state)?;
-        }
-        Ok(self.pending.pop_front())
-    }
-
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
-        self.refill(BATCH_SIZE, state)?;
+        self.refill(state)?;
         if self.pending.is_empty() {
             return Ok(None);
         }
@@ -161,7 +153,7 @@ impl ExecNode for StorageScanExec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, collect_rowwise, BoxedExec};
+    use crate::exec::{collect, BoxedExec};
     use crate::schema::{Column, DataType};
     use crate::value::Value;
 
@@ -196,16 +188,16 @@ mod tests {
     }
 
     #[test]
-    fn row_protocol_matches_batch_protocol() {
-        let t = stored("protocols.heap", 3000, 2);
+    fn batches_are_full_until_the_last() {
+        let t = stored("batches.heap", 3000, 2);
         let state = ExecutionState::default();
-        let batch = collect(
-            Box::new(StorageScanExec::new(t.clone())) as BoxedExec,
-            &state,
-        )
-        .unwrap();
-        let row = collect_rowwise(Box::new(StorageScanExec::new(t)) as BoxedExec, &state).unwrap();
-        assert_eq!(batch.rows(), row.rows());
+        let mut scan = StorageScanExec::new(t);
+        let mut sizes = Vec::new();
+        while let Some(b) = scan.next_batch(&state).unwrap() {
+            sizes.push(b.len());
+        }
+        assert_eq!(sizes, vec![BATCH_SIZE, BATCH_SIZE, 3000 - 2 * BATCH_SIZE]);
+        assert!(scan.next_batch(&state).unwrap().is_none());
     }
 
     #[test]
@@ -214,7 +206,7 @@ mod tests {
         let mut scan = StorageScanExec::new(t);
         let state = ExecutionState::default();
         assert!(scan.next_batch(&state).unwrap().is_none());
-        assert!(scan.next(&state).unwrap().is_none());
+        assert!(scan.next_batch(&state).unwrap().is_none());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Inline row source (VALUES lists, constant relations).
 
+use crate::batch::{next_chunk, RowBatch};
 use crate::error::EngineResult;
 use crate::exec::{ExecNode, ExecutionState};
 use crate::schema::Schema;
@@ -25,8 +26,8 @@ impl ExecNode for ValuesExec {
         &self.schema
     }
 
-    fn next(&mut self, _state: &ExecutionState) -> EngineResult<Option<Row>> {
-        Ok(self.rows.next())
+    fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
+        Ok(next_chunk(&self.schema, &mut self.rows))
     }
 }
 

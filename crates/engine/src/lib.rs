@@ -8,10 +8,10 @@
 //! The engine deliberately mirrors the parts of PostgreSQL the paper relies
 //! on:
 //!
-//! * a **Volcano-style pipelined executor** ([`exec::ExecNode`]) — the
-//!   paper's `ExecAdjustment` (Fig. 10) plugs in as one more node. A
-//!   vectorized batch protocol ([`exec::ExecNode::next_batch`]) pushes
-//!   [`batch::RowBatch`]es through the same pipelines, amortizing per-tuple
+//! * a **pull-based pipelined executor** ([`exec::ExecNode`]) — the
+//!   paper's `ExecAdjustment` (Fig. 10) plugs in as one more node. Its one
+//!   pull method ([`exec::ExecNode::next_batch`]) moves
+//!   [`batch::RowBatch`]es through the pipelines, amortizing per-tuple
 //!   dispatch in the hot operators;
 //! * **three join algorithms** — nested-loop, hash and sort-merge — selected
 //!   by a **cost-based planner** ([`plan::Planner`]) honouring the

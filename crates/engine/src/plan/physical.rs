@@ -1,5 +1,5 @@
 //! Physical plans: the engine's "plan tree" with concrete algorithm
-//! choices, executable into a Volcano iterator tree.
+//! choices, executable into a pipelined executor tree.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use crate::error::EngineResult;
 use crate::exec::{
     collect, BoxedExec, DistinctExec, ExchangeExec, ExecutionState, FilterExec, HashAggregateExec,
     HashJoinExec, HashSetOpExec, InstrumentedExec, IntervalJoinExec, LimitExec, MergeJoinExec,
-    NestedLoopJoinExec, OperatorStats, ProjectExec, SeqScanExec, SortExec, StorageScanExec,
+    OperatorStats, ProjectExec, SeqScanExec, SortExec, StorageScanExec,
 };
 use crate::expr::{AggCall, Expr, SortKey};
 use crate::plan::cost::{CostModel, PlanStats};
@@ -73,6 +73,8 @@ pub enum PhysicalPlan {
     Distinct {
         input: Box<PhysicalPlan>,
     },
+    /// Runs as a [`HashJoinExec`] with no keys: every build row is a
+    /// candidate for every probe row.
     NestedLoopJoin {
         left: Box<PhysicalPlan>,
         right: Box<PhysicalPlan>,
@@ -499,11 +501,12 @@ impl PhysicalPlan {
                 right,
                 join_type,
                 condition,
-            } => Box::new(NestedLoopJoinExec::new(
+            } => Box::new(HashJoinExec::new(
                 left.build_subtree(state)?,
                 right.build_subtree(state)?,
-                *join_type,
+                vec![],
                 condition.clone(),
+                *join_type,
             )),
             PhysicalPlan::HashJoin {
                 left,
@@ -565,18 +568,10 @@ impl PhysicalPlan {
         })
     }
 
-    /// Execute and materialize the result. Drains the executor tree
-    /// batch-wise ([`crate::exec::ExecNode::next_batch`]) — the engine's
-    /// default execution path.
+    /// Execute and materialize the result, draining the executor tree
+    /// batch by batch ([`crate::exec::ExecNode::next_batch`]).
     pub fn collect(&self, state: &ExecutionState) -> EngineResult<Relation> {
         collect(self.execute(state)?, state)
-    }
-
-    /// Execute and materialize via the row-at-a-time Volcano protocol —
-    /// the pre-batch path, kept working so the two protocols can be
-    /// differentially tested and benchmarked against each other.
-    pub fn collect_rowwise(&self, state: &ExecutionState) -> EngineResult<Relation> {
-        crate::exec::collect_rowwise(self.execute(state)?, state)
     }
 
     /// Estimated rows/cost for this subtree.

@@ -23,12 +23,11 @@ use std::sync::Arc;
 
 use crate::batch::{RowBatch, BATCH_SIZE};
 use crate::error::EngineResult;
-use crate::exec::{collect, collect_rowwise, BoxedExec, ExecNode, ExecutionState};
+use crate::exec::{collect, BoxedExec, ExecNode, ExecutionState};
 use crate::plan::cost::{CostModel, PlanStats};
 use crate::plan::logical::{ExtensionNode, LogicalPlan};
 use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::tuple::Row;
 
 /// A logical node that materializes its input once per execution and
 /// serves the buffered rows to every plan occurrence sharing this node.
@@ -107,28 +106,21 @@ pub struct SpoolExec {
     child: Option<BoxedExec>,
     schema: Schema,
     key: usize,
-    /// Local handle to the materialized relation, filled on first `next()`
-    /// so the registry is consulted once per stream, not once per row.
+    /// Local handle to the materialized relation, filled on first pull so
+    /// the registry is consulted once per stream, not once per batch.
     local: Option<Arc<Relation>>,
     pos: usize,
 }
 
 impl SpoolExec {
-    /// Materialize (or attach to) the shared cache in `state`. The first
-    /// stream to pull drains the child through the protocol that stream is
-    /// being driven with — batch-wise under `next_batch()`, row-wise under
-    /// `next()` — so the spool subtree belongs to the same execution path
-    /// as the rest of the plan.
-    fn materialized(&mut self, state: &ExecutionState, batched: bool) -> EngineResult<&Relation> {
+    /// Materialize (or attach to) the shared cache in `state`: the first
+    /// stream to pull drains the child.
+    fn materialized(&mut self, state: &ExecutionState) -> EngineResult<&Relation> {
         if self.local.is_none() {
             let child = &mut self.child;
             let rel = state.spool_get_or_fill(self.key, || {
                 let node = child.take().expect("spool child built exactly once");
-                if batched {
-                    collect(node, state)
-                } else {
-                    collect_rowwise(node, state)
-                }
+                collect(node, state)
             })?;
             self.local = Some(rel);
         }
@@ -141,19 +133,11 @@ impl ExecNode for SpoolExec {
         &self.schema
     }
 
-    fn next(&mut self, state: &ExecutionState) -> EngineResult<Option<Row>> {
-        let pos = self.pos;
-        let rel = self.materialized(state, false)?;
-        let row = rel.rows().get(pos).cloned();
-        self.pos += 1;
-        Ok(row)
-    }
-
-    /// Batch path: serve a contiguous chunk of the shared materialization
-    /// (row clones are `Arc` bumps).
+    /// Serve a contiguous chunk of the shared materialization (row clones
+    /// are `Arc` bumps).
     fn next_batch(&mut self, state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
         let pos = self.pos;
-        let rel = self.materialized(state, true)?;
+        let rel = self.materialized(state)?;
         let rows = rel.rows();
         if pos >= rows.len() {
             return Ok(None);
@@ -187,13 +171,13 @@ mod tests {
         fn schema(&self) -> &Schema {
             self.rel.schema()
         }
-        fn next(&mut self, _state: &ExecutionState) -> EngineResult<Option<Row>> {
+        fn next_batch(&mut self, _state: &ExecutionState) -> EngineResult<Option<RowBatch>> {
             if self.pos == 0 {
                 *self.drains.lock().unwrap() += 1;
             }
-            let row = self.rel.rows().get(self.pos).cloned();
-            self.pos += 1;
-            Ok(row)
+            let rows = self.rel.rows()[self.pos..].to_vec();
+            self.pos = self.rel.len();
+            Ok((!rows.is_empty()).then(|| RowBatch::new(self.rel.schema().clone(), rows)))
         }
     }
 
@@ -224,11 +208,11 @@ mod tests {
         let mut a = node.build_exec(vec![mk_child()]).unwrap();
         let mut b = node.build_exec(vec![mk_child()]).unwrap();
         let mut n = 0;
-        while a.next(&state).unwrap().is_some() {
-            n += 1;
+        while let Some(batch) = a.next_batch(&state).unwrap() {
+            n += batch.len();
         }
-        while b.next(&state).unwrap().is_some() {
-            n += 1;
+        while let Some(batch) = b.next_batch(&state).unwrap() {
+            n += batch.len();
         }
         assert_eq!(n, 10);
         assert_eq!(*drains.lock().unwrap(), 1, "child must be drained once");
@@ -289,11 +273,11 @@ mod tests {
         });
         let shared = SpoolNode::shared(LogicalPlan::inline_scan(rel()));
         // Warm the original node's cache in one execution state: build an
-        // executor and pull a row (next() materializes into the registry).
+        // executor and pull a batch (which materializes into the registry).
         let physical = planner.plan(&shared, &Catalog::new()).unwrap();
         let state = ExecutionState::default();
         let mut exec = physical.execute(&state).unwrap();
-        assert!(exec.next(&state).unwrap().is_some());
+        assert!(exec.next_batch(&state).unwrap().is_some());
         // Rebuild with a different input: must not serve the warm cache.
         let LogicalPlan::Extension { node } = &shared else {
             panic!("spool is an extension")

@@ -16,7 +16,7 @@
 //! their WAL fsyncs through the group-commit flusher. The server itself
 //! holds no locks across statements.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -29,6 +29,12 @@ use temporal_engine::prelude::{Column, DataType, Relation, Row, Schema, Value};
 use temporal_sql::{Session, SqlOutput};
 
 use crate::protocol;
+
+/// Longest request line the server accepts, in bytes (newline excluded).
+/// A longer request is answered with an in-band `ERR` and the connection
+/// is closed, so a client that streams bytes without a newline cannot
+/// grow server memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
 
 /// Does `addr` name a Unix-domain socket (any address containing `/`)?
 pub fn is_unix_addr(addr: &str) -> bool {
@@ -219,14 +225,44 @@ pub fn stats_relation(db: &Database) -> Relation {
     Relation::new(schema, rows).expect("stats relation is well-formed")
 }
 
+/// One request read off the wire by [`read_request`].
+enum Request {
+    Line(String),
+    TooLong,
+    Eof,
+}
+
+/// Read one `\n`-terminated request line (a trailing `\r` is dropped, as
+/// `BufRead::lines` does), buffering at most [`MAX_REQUEST_BYTES`]: a
+/// longer line yields [`Request::TooLong`] without reading further. A
+/// final line without a newline still counts as a request.
+fn read_request<R: BufRead>(reader: &mut R) -> std::io::Result<Request> {
+    let mut buf = Vec::new();
+    let limit = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.take(limit).read_until(b'\n', &mut buf)? == 0 {
+        return Ok(Request::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        return Ok(Request::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(Request::Line)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
 /// Drive one connection: read a statement per line, execute it on the
 /// connection's session, write one framed response. Lines starting with
 /// `.` are server commands (currently `.stats`); everything else is SQL.
-/// Errors are reported in-band as `ERR …`; only I/O failures end the
-/// loop early.
+/// Errors are reported in-band as `ERR …`; only I/O failures and an
+/// over-long request (see [`MAX_REQUEST_BYTES`]) end the loop early.
 fn serve_connection<R: BufRead, W: Write>(
     mut session: Session,
-    reader: R,
+    mut reader: R,
     mut writer: W,
 ) -> std::io::Result<()> {
     session
@@ -235,8 +271,19 @@ fn serve_connection<R: BufRead, W: Write>(
         .counter("server.connections")
         .inc();
     let statements = session.database().metrics().counter("server.statements");
-    for line in reader.lines() {
-        let line = line?;
+    loop {
+        let line = match read_request(&mut reader)? {
+            Request::Line(line) => line,
+            Request::Eof => break,
+            Request::TooLong => {
+                protocol::write_error(
+                    &mut writer,
+                    &format!("request exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"),
+                )?;
+                writer.flush()?;
+                break;
+            }
+        };
         let stmt = line.trim();
         if stmt.is_empty() {
             continue;
@@ -329,6 +376,59 @@ mod tests {
         );
         handle.stop();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn over_long_request_gets_err_and_close() {
+        let db = Database::default();
+        let handle = Server::bind(db, "127.0.0.1:0").expect("bind").spawn();
+        let addr = handle.addr().to_string();
+
+        // One byte past the limit, no newline: the server must answer
+        // in-band and hang up rather than keep buffering.
+        let mut raw = TcpStream::connect(&addr).unwrap();
+        raw.write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1]).unwrap();
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).unwrap(); // returns at EOF
+        assert!(reply.starts_with("ERR "), "got {reply:?}");
+        assert!(reply.contains("exceeds"), "got {reply:?}");
+        assert_eq!(reply.lines().count(), 1, "one response, then EOF");
+
+        // The server keeps serving other connections.
+        let mut c = Client::connect(&addr).unwrap();
+        assert_eq!(
+            c.execute("CREATE TABLE t (x int, ts int, te int)").unwrap(),
+            Response::Ok
+        );
+        assert_eq!(
+            c.execute("INSERT INTO t VALUES (1, 0, 2)").unwrap(),
+            Response::Affected(1)
+        );
+        handle.stop();
+    }
+
+    #[test]
+    fn request_lines_are_split_and_bounded() {
+        let mut input: &[u8] = b"SELECT 1;\r\n\nlast";
+        let mut lines = Vec::new();
+        loop {
+            match read_request(&mut input).unwrap() {
+                Request::Line(l) => lines.push(l),
+                Request::Eof => break,
+                Request::TooLong => panic!("short lines are never too long"),
+            }
+        }
+        assert_eq!(lines, vec!["SELECT 1;", "", "last"]);
+        let exact = vec![b'y'; MAX_REQUEST_BYTES];
+        assert!(matches!(
+            read_request(&mut &exact[..]).unwrap(),
+            Request::Line(l) if l.len() == MAX_REQUEST_BYTES
+        ));
+        let over = vec![b'y'; MAX_REQUEST_BYTES + 1];
+        assert!(matches!(
+            read_request(&mut &over[..]).unwrap(),
+            Request::TooLong
+        ));
     }
 
     #[test]

@@ -1,43 +1,60 @@
-//! Batch/row differential tests (ISSUE 3): the vectorized batch protocol
-//! (`ExecNode::next_batch` / `PhysicalPlan::collect`) must be **row-for-row
-//! identical** — same rows, same order — to the row-at-a-time Volcano
-//! protocol (`ExecNode::next` / `PhysicalPlan::collect_rowwise`) on every
-//! operator: filter, project, the join algorithms (hash, nested-loop,
-//! interval sweep), set operations, and both temporal adjustment modes
-//! (alignment and normalization) plus the gaps-only anti-join sweep and
-//! absorb. Plus batch-boundary edge cases: empty inputs, batches emptied
-//! by a filter, inputs of exactly `BATCH_SIZE` rows, and sweep groups
-//! spanning batch boundaries.
+//! Executor differential tests against the reference semantics: compiled
+//! plans drained through `PhysicalPlan::collect` (the batch executor) must
+//! equal `core::reference` on every operator — filter, project,
+//! aggregation, the join algorithms (hash, keyless nested loop, interval
+//! sweep), set operations, both temporal adjustment modes (alignment and
+//! normalization), the gaps-only anti-join sweep and absorb. Chains are
+//! checked against the point-wise `evaluate_oracle`; the raw primitives
+//! against `align_ref`, `normalize_ref` and `absorb_ref`, and the
+//! gaps-only sweep against the oracle's anti join. Every chain runs under
+//! the default planner and again under `PlannerConfig::nestloop_only()`,
+//! so the keyless join is checked for Inner/Left/Full/Anti as well.
+//!
+//! Plus batch-boundary edge cases: empty inputs, batches emptied by a
+//! filter, inputs of exactly `BATCH_SIZE` rows, and sweep and absorb
+//! groups spanning batch boundaries.
 
 mod common;
 
 use proptest::prelude::*;
 use temporal_alignment::core::prelude::*;
+use temporal_alignment::core::primitives::absorb::absorb_ref;
+use temporal_alignment::core::primitives::aligner::{align_ref, Theta};
+use temporal_alignment::core::primitives::splitter::normalize_ref;
+use temporal_alignment::core::reference::evaluate_oracle;
 use temporal_alignment::core::semantics::TemporalOp;
 use temporal_alignment::engine::catalog::Catalog;
 use temporal_alignment::engine::prelude::*;
 use temporal_datasets::{ddisj, deq, drand};
 
-/// Plan once, execute through both protocols, compare row-for-row.
-fn assert_paths_identical_logical(lp: &LogicalPlan, planner: &Planner, label: &str) {
-    let physical = planner
-        .plan(lp, &Catalog::new())
-        .unwrap_or_else(|e| panic!("{label}: plan: {e}"));
-    let row_path = physical
-        .collect_rowwise(&ExecutionState::default())
-        .unwrap_or_else(|e| panic!("{label}: row path: {e}"));
-    let batch_path = physical
-        .collect(&ExecutionState::default())
-        .unwrap_or_else(|e| panic!("{label}: batch path: {e}"));
-    assert_eq!(
-        row_path.rows(),
-        batch_path.rows(),
-        "{label}: batch path diverges from row path"
-    );
+/// The planner configurations every chain runs under: the default, and
+/// nested loops only (every join a keyless hash join).
+fn configs() -> [(PlannerConfig, &'static str); 2] {
+    [
+        (PlannerConfig::default(), "default"),
+        (PlannerConfig::nestloop_only(), "nestloop"),
+    ]
 }
 
-fn assert_paths_identical(plan: &TemporalPlan, planner: &Planner, label: &str) {
-    assert_paths_identical_logical(plan.logical(), planner, label);
+/// Plan `lp` and drain it through `PhysicalPlan::collect`.
+fn collect_logical(lp: &LogicalPlan, config: PlannerConfig, label: &str) -> Relation {
+    Planner::new(config)
+        .plan(lp, &Catalog::new())
+        .unwrap_or_else(|e| panic!("{label}: plan: {e}"))
+        .collect(&ExecutionState::new(config))
+        .unwrap_or_else(|e| panic!("{label}: collect: {e}"))
+}
+
+fn collect_plan(plan: &TemporalPlan, config: PlannerConfig, label: &str) -> TemporalRelation {
+    TemporalRelation::new(collect_logical(plan.logical(), config, label))
+        .unwrap_or_else(|e| panic!("{label}: result: {e}"))
+}
+
+fn assert_same_set(got: &TemporalRelation, want: &TemporalRelation, label: &str) {
+    assert!(
+        got.same_set(want),
+        "{label}: executor diverges from the reference.\nexecutor:\n{got}\nreference:\n{want}"
+    );
 }
 
 /// Apply one operator to a composed plan (as in `tests/plan_first.rs`).
@@ -68,6 +85,31 @@ fn apply_plan(
     }
 }
 
+/// Compose `chain` (first operator binary over `(r, s)`, the rest unary)
+/// into one plan, and evaluate it step by step with the oracle; compare
+/// under every planner configuration.
+fn check_chain(chain: &[TemporalOp], r: &TemporalRelation, s: &TemporalRelation, label: &str) {
+    let mut plan = apply_plan(
+        &chain[0],
+        TemporalPlan::scan(r),
+        Some(TemporalPlan::scan(s)),
+    )
+    .unwrap_or_else(|e| panic!("{label}: compose: {e}"));
+    for op in &chain[1..] {
+        plan = apply_plan(op, plan, None).unwrap_or_else(|e| panic!("{label}: compose: {e}"));
+    }
+    let mut oracle = evaluate_oracle(&chain[0], &[r, s])
+        .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", chain[0].name()));
+    for op in &chain[1..] {
+        oracle = evaluate_oracle(op, &[&oracle])
+            .unwrap_or_else(|e| panic!("{label}: oracle {}: {e}", op.name()));
+    }
+    for (config, name) in configs() {
+        let label = format!("{label} [{name}]");
+        assert_same_set(&collect_plan(&plan, config, &label), &oracle, &label);
+    }
+}
+
 /// Chains over two one-data-column relations covering filter, project,
 /// aggregation, every join family and every set operation — and, through
 /// the reductions, both adjustment modes (joins align, group-based
@@ -85,8 +127,7 @@ fn chains_1col() -> Vec<Vec<TemporalOp>> {
             TemporalOp::Projection { attrs: vec![0] },
         ],
         // θ = None: the group-construction join is a pure overlap join, so
-        // the default planner's heuristic picks the interval sweep join —
-        // this chain differentially tests IntervalJoinExec's batch path.
+        // the default planner's heuristic picks the interval sweep join.
         vec![
             TemporalOp::LeftOuterJoin { theta: None },
             TemporalOp::Aggregation {
@@ -129,29 +170,69 @@ fn chains_1col() -> Vec<Vec<TemporalOp>> {
 }
 
 fn check_chains(r: &TemporalRelation, s: &TemporalRelation, label: &str) {
-    let planner = Planner::default();
     for (i, chain) in chains_1col().iter().enumerate() {
-        let mut plan = apply_plan(
-            &chain[0],
-            TemporalPlan::scan(r),
-            Some(TemporalPlan::scan(s)),
-        )
-        .unwrap_or_else(|e| panic!("{label} chain {i}: compose: {e}"));
-        for op in &chain[1..] {
-            plan = apply_plan(op, plan, None)
-                .unwrap_or_else(|e| panic!("{label} chain {i}: compose: {e}"));
-        }
-        assert_paths_identical(&plan, &planner, &format!("{label} chain {i}"));
+        check_chain(chain, r, s, &format!("{label} chain {i}"));
     }
+}
+
+/// Alignment, normalization, the gaps-only anti-join sweep and absorb of
+/// `(r, s)` against their references, under the default planner. `theta`
+/// is over `r_row ++ s_row`; `b` the normalization's grouping pairs.
+fn check_primitives(
+    r: &TemporalRelation,
+    s: &TemporalRelation,
+    theta: Option<Expr>,
+    b: &[(usize, usize)],
+    label: &str,
+) {
+    let config = PlannerConfig::default();
+    let align = TemporalPlan::scan(r)
+        .align(TemporalPlan::scan(s), theta.clone())
+        .unwrap();
+    let align_theta = theta.clone().map_or(Theta::True, Theta::Predicate);
+    let label_a = format!("align {label}");
+    assert_same_set(
+        &collect_plan(&align, config, &label_a),
+        &align_ref(r, s, &align_theta).unwrap(),
+        &label_a,
+    );
+
+    let normalize = TemporalPlan::scan(r)
+        .normalize(TemporalPlan::scan(s), b)
+        .unwrap();
+    let label_n = format!("normalize {label}");
+    assert_same_set(
+        &collect_plan(&normalize, config, &label_n),
+        &normalize_ref(r, s, b).unwrap(),
+        &label_n,
+    );
+
+    let gaps = TemporalPlan::scan(r)
+        .anti_join_optimized(TemporalPlan::scan(s), theta.clone())
+        .unwrap();
+    let label_g = format!("gaps-only {label}");
+    assert_same_set(
+        &collect_plan(&gaps, config, &label_g),
+        &evaluate_oracle(&TemporalOp::AntiJoin { theta }, &[r, s]).unwrap(),
+        &label_g,
+    );
+
+    let absorb = TemporalPlan::scan(r).absorb();
+    let label_b = format!("absorb {label}");
+    assert_same_set(
+        &collect_plan(&absorb, config, &label_b),
+        &absorb_ref(r).unwrap(),
+        &label_b,
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Pipelines over the paper's synthetic datasets: batch ≡ row on Ddisj
-    /// and Deq of random sizes.
+    /// Pipelines over the paper's synthetic datasets: executor ≡ oracle on
+    /// Ddisj and Deq of random sizes.
     #[test]
-    fn batch_equals_row_on_ddisj_and_deq(n in 2usize..7) {
+    fn chains_match_oracle_on_ddisj_and_deq(n in 2usize..7) {
         let (r, s) = ddisj(n);
         check_chains(&r, &s, &format!("ddisj({n})"));
         let (r, s) = deq(n);
@@ -160,9 +241,8 @@ proptest! {
 
     /// Pipelines on Drand (random intervals, asymmetric schemas).
     #[test]
-    fn batch_equals_row_on_drand(n in 2usize..7, seed in 0u64..1000) {
+    fn chains_match_oracle_on_drand(n in 2usize..7, seed in 0u64..1000) {
         let (r, s) = drand(n, seed);
-        let planner = Planner::default();
         // concat row = (id, ts, te, a, min, max, ts, te)
         let chains: Vec<Vec<TemporalOp>> = vec![
             vec![
@@ -175,6 +255,10 @@ proptest! {
                 TemporalOp::Projection { attrs: vec![0, 1] },
             ],
             vec![
+                TemporalOp::FullOuterJoin { theta: Some(col(0).lt(col(3))) },
+                TemporalOp::Projection { attrs: vec![0, 1] },
+            ],
+            vec![
                 TemporalOp::AntiJoin { theta: Some(col(0).eq(col(3))) },
                 TemporalOp::Aggregation {
                     group: vec![0],
@@ -183,45 +267,18 @@ proptest! {
             ],
         ];
         for (i, chain) in chains.iter().enumerate() {
-            let mut plan = apply_plan(
-                &chain[0],
-                TemporalPlan::scan(&r),
-                Some(TemporalPlan::scan(&s)),
-            ).unwrap_or_else(|e| panic!("drand chain {i}: compose: {e}"));
-            for op in &chain[1..] {
-                plan = apply_plan(op, plan, None)
-                    .unwrap_or_else(|e| panic!("drand chain {i}: compose: {e}"));
-            }
-            assert_paths_identical(&plan, &planner, &format!("drand({n},{seed}) chain {i}"));
+            check_chain(chain, &r, &s, &format!("drand({n},{seed}) chain {i}"));
         }
     }
 
-    /// The raw primitives: alignment, normalization and the gaps-only
-    /// anti-join sweep — both adjustment modes, batch ≡ row.
+    /// The raw primitives against their direct references: alignment,
+    /// normalization, the gaps-only anti-join sweep and absorb.
     #[test]
-    fn batch_equals_row_on_raw_primitives(seed in 0u64..500) {
+    fn raw_primitives_match_references(seed in 0u64..500) {
         let r = common::random_trel(seed, 14, 4, 30);
         let s = common::random_trel(seed + 10_000, 14, 4, 30);
-        let planner = Planner::default();
-        let theta = col(0).eq(col(3));
-
-        let align = TemporalPlan::scan(&r)
-            .align(TemporalPlan::scan(&s), Some(theta.clone()))
-            .unwrap();
-        assert_paths_identical(&align, &planner, &format!("align seed {seed}"));
-
-        let normalize = TemporalPlan::scan(&r)
-            .normalize(TemporalPlan::scan(&s), &[(0, 0)])
-            .unwrap();
-        assert_paths_identical(&normalize, &planner, &format!("normalize seed {seed}"));
-
-        let gaps = TemporalPlan::scan(&r)
-            .anti_join_optimized(TemporalPlan::scan(&s), Some(theta))
-            .unwrap();
-        assert_paths_identical(&gaps, &planner, &format!("gaps-only seed {seed}"));
-
-        let absorb = TemporalPlan::scan(&r).absorb();
-        assert_paths_identical(&absorb, &planner, &format!("absorb seed {seed}"));
+        check_primitives(&r, &s, Some(col(0).eq(col(3))), &[(0, 0)], &format!("seed {seed}"));
+        check_primitives(&r, &s, None, &[], &format!("seed {seed}, no θ"));
     }
 }
 
@@ -247,15 +304,27 @@ fn sweep_group_spanning_batches() {
             .collect(),
     )
     .unwrap();
-    let planner = Planner::default();
+    let config = PlannerConfig::default();
     let normalize = TemporalPlan::scan(&r)
         .normalize(TemporalPlan::scan(&s), &[])
         .unwrap();
-    assert_paths_identical(&normalize, &planner, "giant normalize group");
+    let got = collect_plan(&normalize, config, "giant normalize group");
+    assert_eq!(got.len() as i64, 2 * k + 1);
+    assert_same_set(
+        &got,
+        &normalize_ref(&r, &s, &[]).unwrap(),
+        "giant normalize group",
+    );
     let align = TemporalPlan::scan(&r)
         .align(TemporalPlan::scan(&s), None)
         .unwrap();
-    assert_paths_identical(&align, &planner, "giant align group");
+    let got = collect_plan(&align, config, "giant align group");
+    assert!(got.len() > BATCH_SIZE);
+    assert_same_set(
+        &got,
+        &align_ref(&r, &s, &Theta::True).unwrap(),
+        "giant align group",
+    );
 }
 
 /// An absorb group larger than `BATCH_SIZE` (nested same-value intervals):
@@ -277,13 +346,22 @@ fn absorb_group_spanning_batches() {
     )
     .unwrap();
     let lp = temporal_alignment::core::primitives::absorb::AbsorbNode::plan(
-        LogicalPlan::inline_scan(rel),
+        LogicalPlan::inline_scan(rel.clone()),
     );
-    assert_paths_identical_logical(&lp, &Planner::default(), "giant absorb group");
+    let got = TemporalRelation::new(collect_logical(
+        &lp,
+        PlannerConfig::default(),
+        "giant absorb group",
+    ))
+    .unwrap();
+    assert_eq!(got.len(), 1);
+    let want = absorb_ref(&TemporalRelation::new(rel).unwrap()).unwrap();
+    assert_same_set(&got, &want, "giant absorb group");
 }
 
 /// Inputs of exactly `BATCH_SIZE` rows: one full batch, then `None` — and
-/// empty inputs: `None` immediately, never an empty batch.
+/// empty inputs: `None` immediately, never an empty batch. Both shapes
+/// also go through the temporal primitives against their references.
 #[test]
 fn exact_batch_size_and_empty_inputs() {
     let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
@@ -304,6 +382,24 @@ fn exact_batch_size_and_empty_inputs() {
     let mut scan = temporal_alignment::engine::exec::SeqScanExec::new(empty.into_shared());
     assert!(scan.next_batch(&state).unwrap().is_none());
     assert!(scan.next_batch(&state).unwrap().is_none());
+
+    // Exactly BATCH_SIZE r tuples (value i over [2i, 2i + 3)), each
+    // overlapping its neighbours, against a small s.
+    let r = TemporalRelation::from_rows(
+        Schema::new(vec![Column::new("k", DataType::Int)]),
+        (0..BATCH_SIZE as i64)
+            .map(|i| (vec![Value::Int(i % 7)], Interval::of(2 * i, 2 * i + 3)))
+            .collect(),
+    )
+    .unwrap();
+    let s = common::random_trel(3, 14, 7, 2 * BATCH_SIZE as i64);
+    check_primitives(&r, &s, Some(col(0).eq(col(3))), &[(0, 0)], "exact batch");
+    let e = common::random_trel(0, 0, 1, 1);
+    assert!(e.is_empty());
+    check_primitives(&r, &e, None, &[], "empty s");
+    check_primitives(&e, &s, None, &[], "empty r");
+    check_chains(&e, &s, "empty r");
+    check_chains(&s, &e, "empty s");
 }
 
 /// A filter that empties whole input batches must skip them (batches are
@@ -318,7 +414,10 @@ fn filter_skips_emptied_batches() {
     let hi = lo + 5;
     let lp =
         LogicalPlan::inline_scan(rel.clone()).filter(col(0).ge(lit(lo)).and(col(0).lt(lit(hi))));
-    assert_paths_identical_logical(&lp, &Planner::default(), "middle sliver filter");
+    let got = collect_logical(&lp, PlannerConfig::default(), "middle sliver filter");
+    let want: Vec<Vec<Value>> = (lo..hi).map(|i| vec![Value::Int(i)]).collect();
+    let got: Vec<Vec<Value>> = got.rows().iter().map(|r| r.to_vec()).collect();
+    assert_eq!(got, want, "middle sliver filter");
     // Keep nothing at all.
     let lp = LogicalPlan::inline_scan(rel).filter(col(0).lt(lit(0i64)));
     let physical = Planner::default().plan(&lp, &Catalog::new()).unwrap();
